@@ -1,6 +1,7 @@
 // Micro-benchmarks of the graph substrate: CSR construction (serial and
 // ThreadPool-parallel), transpose, binary load (v1 per-record vs v2
-// bulk-array), BFS, statistics, and synthetic-web generation throughput.
+// bulk-array, and the v2.2 zero-copy mmap load against the heap loaders),
+// BFS, statistics, and synthetic-web generation throughput.
 
 #include <benchmark/benchmark.h>
 
@@ -8,6 +9,7 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <string>
 
 #include "graph/graph_algorithms.h"
 #include "graph/graph_builder.h"
@@ -184,6 +186,75 @@ void BM_BinaryWriteV2(benchmark::State& state) {
   std::remove(path.c_str());
 }
 BENCHMARK(BM_BinaryWriteV2)->Unit(benchmark::kMillisecond);
+
+// -- Paged v2.2 load: heap readers vs the zero-copy mmap loader -------------
+// A power-law web (hub-heavy sources, uniform targets, a long near-dangling
+// tail) whose CSR is ~50 MB in both directions, so the full-validation heap
+// load is measurable next to the O(1) mapped load. Each file is written
+// once, outside every timed region.
+
+graph::WebGraph PowerLawGraph() {
+  constexpr uint32_t n = 300'000;
+  constexpr uint32_t m = 3'000'000;
+  util::Rng rng(4242);
+  graph::GraphBuilder b(n);
+  for (uint32_t e = 0; e < m; ++e) {
+    const double u = rng.Uniform01();
+    const double rank = (n - 1) * (1.0 - u * u * u * u * u);
+    auto src = static_cast<graph::NodeId>(rank);
+    auto dst = static_cast<graph::NodeId>(rng.UniformIndex(n));
+    if (src != dst) b.AddEdge(src, dst);
+  }
+  return b.Build();
+}
+
+const std::string& PagedBenchFile(bool paged) {
+  static const graph::WebGraph* g = new graph::WebGraph(PowerLawGraph());
+  static const std::string* v2 = [] {
+    auto* p = new std::string(BenchTempPath("spammass_bench_load_v2.smwg"));
+    CHECK_OK(graph::WriteBinary(*g, *p));
+    return p;
+  }();
+  static const std::string* v22 = [] {
+    auto* p = new std::string(BenchTempPath("spammass_bench_load_v22.smwg"));
+    CHECK_OK(graph::WriteBinaryV22(*g, *p));
+    return p;
+  }();
+  return paged ? *v22 : *v2;
+}
+
+void BM_BinaryLoadV2Heap(benchmark::State& state) {
+  const std::string& path = PagedBenchFile(/*paged=*/false);
+  for (auto _ : state) {
+    auto g = graph::ReadBinary(path);
+    CHECK_OK(g.status());
+    benchmark::DoNotOptimize(g.value());
+  }
+}
+BENCHMARK(BM_BinaryLoadV2Heap)->Unit(benchmark::kMillisecond);
+
+void BM_PagedLoadHeap(benchmark::State& state) {
+  const std::string& path = PagedBenchFile(/*paged=*/true);
+  for (auto _ : state) {
+    auto g = graph::ReadBinary(path);
+    CHECK_OK(g.status());
+    benchmark::DoNotOptimize(g.value());
+  }
+}
+BENCHMARK(BM_PagedLoadHeap)->Unit(benchmark::kMillisecond);
+
+void BM_PagedLoadMmap(benchmark::State& state) {
+  const std::string& path = PagedBenchFile(/*paged=*/true);
+  uint64_t mapped = 0;
+  for (auto _ : state) {
+    auto g = graph::ReadBinaryMmap(path);
+    CHECK_OK(g.status());
+    mapped = g.value().mapped_bytes();
+    benchmark::DoNotOptimize(g.value());
+  }
+  state.counters["mapped_bytes"] = static_cast<double>(mapped);
+}
+BENCHMARK(BM_PagedLoadMmap)->Unit(benchmark::kMillisecond);
 
 void BM_MultiSourceBfs(benchmark::State& state) {
   graph::WebGraph g = RandomGraph(50000, 8.0, 17);

@@ -1,7 +1,6 @@
 // Bandwidth-variant matrix for the multi-RHS sweep: every combination of
-// instruction set (scalar vs. the best vector backend), lane precision
-// (f64 vs. mixed f32), and successor encoding (plain CSR vs.
-// delta/varint-compressed) at the k=4 lane count the two-solve mass
+// instruction set (scalar vs. the best vector backend) and lane precision
+// (f64 vs. mixed f32) at the k=4 lane count the two-solve mass
 // estimation plus TrustRank batch actually issues — on a power-law web
 // whose working set defeats the last-level cache, so the sweep is
 // memory-bound and byte savings translate to wall-clock. Also times the
@@ -9,8 +8,8 @@
 // cost and as a sweep-speed effect.
 //
 // Every variant entry carries a `bytes_per_edge` counter: the traffic
-// model documented in docs/performance.md (successor-id bytes per edge,
-// exact for both encodings, plus k lane reads at the storage width).
+// model documented in docs/performance.md (4 successor-id bytes per edge
+// plus k lane reads at the storage width).
 // tools/bench_to_json.py pairs the entries into speedup ratios and a
 // bytes-per-edge reduction for BENCH_solver.json.
 
@@ -46,7 +45,7 @@ constexpr uint32_t kLanes = 4;
 /// Power-law out-degrees (Zipf-ish source sampling over a shuffled rank
 /// order) with uniform targets: a few hub rows with thousands of
 /// successors and a long tail of near-dangling nodes, the shape crawls
-/// produce and the regime the compressed gather is built for.
+/// produce.
 WebGraph BuildVariantGraph() {
   constexpr uint32_t n = 300'000;
   constexpr uint32_t m = 3'000'000;
@@ -69,17 +68,6 @@ const WebGraph& VariantGraph() {
   return *graph;
 }
 
-// Same structure (same seed), with the compressed in-adjacency attached.
-// WebGraph is move-only, so the compressed twin is built independently.
-const WebGraph& CompressedVariantGraph() {
-  static WebGraph* graph = [] {
-    auto* g = new WebGraph(BuildVariantGraph());
-    g->BuildCompressedInAdjacency();
-    return g;
-  }();
-  return *graph;
-}
-
 /// The k=4 jump batch of a full detection pass: uniform PageRank, the
 /// γ-scaled good-core jump, and two alternative-core lanes.
 const std::vector<JumpVector>& VariantJumps() {
@@ -99,43 +87,34 @@ const std::vector<JumpVector>& VariantJumps() {
 }
 
 pagerank::SolverOptions VariantOptions(SimdPolicy simd_policy,
-                                       SweepPrecision precision,
-                                       bool compressed) {
+                                       SweepPrecision precision) {
   pagerank::SolverOptions opt;
   opt.method = pagerank::Method::kJacobi;
   opt.tolerance = 1e-10;
   opt.max_iterations = 500;
   opt.simd = simd_policy;
   opt.precision = precision;
-  opt.compressed_gather = compressed;
   return opt;
 }
 
-/// Modelled sweep traffic per edge (docs/performance.md): successor-id
-/// bytes (exact — 4 for plain CSR, measured blob bytes per edge when
-/// compressed) plus k lane-value reads at the storage width.
-double BytesPerEdge(const WebGraph& g, SweepPrecision precision,
-                    bool compressed) {
-  const double id_bytes =
-      compressed ? static_cast<double>(g.compressed_in().bytes.size()) /
-                       static_cast<double>(g.num_edges())
-                 : static_cast<double>(sizeof(NodeId));
+/// Modelled sweep traffic per edge (docs/performance.md): the successor
+/// id plus k lane-value reads at the storage width.
+double BytesPerEdge(SweepPrecision precision) {
   const double lane_width =
       precision == SweepPrecision::kMixedF32 ? sizeof(float) : sizeof(double);
-  return id_bytes + static_cast<double>(kLanes) * lane_width;
+  return sizeof(NodeId) + static_cast<double>(kLanes) * lane_width;
 }
 
 void RunVariant(benchmark::State& state, SimdPolicy simd_policy,
-                SweepPrecision precision, bool compressed) {
+                SweepPrecision precision) {
   if (simd_policy == SimdPolicy::kAuto &&
       simd::Best() == simd::Level::kScalar) {
     state.SkipWithError("no vector backend on this host");
     return;
   }
-  const WebGraph& g =
-      compressed ? CompressedVariantGraph() : VariantGraph();
+  const WebGraph& g = VariantGraph();
   const auto& jumps = VariantJumps();
-  const auto opt = VariantOptions(simd_policy, precision, compressed);
+  const auto opt = VariantOptions(simd_policy, precision);
   pagerank::SolverWorkspace ws;
   int sweeps = 0;
   for (auto _ : state) {
@@ -146,48 +125,28 @@ void RunVariant(benchmark::State& state, SimdPolicy simd_policy,
   }
   state.counters["sweeps"] = sweeps;
   state.counters["lanes"] = kLanes;
-  state.counters["bytes_per_edge"] = BytesPerEdge(g, precision, compressed);
+  state.counters["bytes_per_edge"] = BytesPerEdge(precision);
 }
 
 void BM_SweepScalarF64Plain(benchmark::State& state) {
-  RunVariant(state, SimdPolicy::kScalar, SweepPrecision::kFloat64, false);
+  RunVariant(state, SimdPolicy::kScalar, SweepPrecision::kFloat64);
 }
 BENCHMARK(BM_SweepScalarF64Plain)->Unit(benchmark::kMillisecond);
 
 void BM_SweepSimdF64Plain(benchmark::State& state) {
-  RunVariant(state, SimdPolicy::kAuto, SweepPrecision::kFloat64, false);
+  RunVariant(state, SimdPolicy::kAuto, SweepPrecision::kFloat64);
 }
 BENCHMARK(BM_SweepSimdF64Plain)->Unit(benchmark::kMillisecond);
 
-void BM_SweepScalarF64Compressed(benchmark::State& state) {
-  RunVariant(state, SimdPolicy::kScalar, SweepPrecision::kFloat64, true);
-}
-BENCHMARK(BM_SweepScalarF64Compressed)->Unit(benchmark::kMillisecond);
-
-void BM_SweepSimdF64Compressed(benchmark::State& state) {
-  RunVariant(state, SimdPolicy::kAuto, SweepPrecision::kFloat64, true);
-}
-BENCHMARK(BM_SweepSimdF64Compressed)->Unit(benchmark::kMillisecond);
-
 void BM_SweepScalarF32Plain(benchmark::State& state) {
-  RunVariant(state, SimdPolicy::kScalar, SweepPrecision::kMixedF32, false);
+  RunVariant(state, SimdPolicy::kScalar, SweepPrecision::kMixedF32);
 }
 BENCHMARK(BM_SweepScalarF32Plain)->Unit(benchmark::kMillisecond);
 
 void BM_SweepSimdF32Plain(benchmark::State& state) {
-  RunVariant(state, SimdPolicy::kAuto, SweepPrecision::kMixedF32, false);
+  RunVariant(state, SimdPolicy::kAuto, SweepPrecision::kMixedF32);
 }
 BENCHMARK(BM_SweepSimdF32Plain)->Unit(benchmark::kMillisecond);
-
-void BM_SweepScalarF32Compressed(benchmark::State& state) {
-  RunVariant(state, SimdPolicy::kScalar, SweepPrecision::kMixedF32, true);
-}
-BENCHMARK(BM_SweepScalarF32Compressed)->Unit(benchmark::kMillisecond);
-
-void BM_SweepSimdF32Compressed(benchmark::State& state) {
-  RunVariant(state, SimdPolicy::kAuto, SweepPrecision::kMixedF32, true);
-}
-BENCHMARK(BM_SweepSimdF32Compressed)->Unit(benchmark::kMillisecond);
 
 // ---- Locality reordering: preprocessing cost and sweep effect. ----
 
@@ -215,7 +174,7 @@ void RunReorderedSweep(benchmark::State& state, ReorderKind kind) {
   const WebGraph& g = **slot;
   const auto& jumps = VariantJumps();  // equivariant: timing only
   const auto opt =
-      VariantOptions(SimdPolicy::kScalar, SweepPrecision::kFloat64, false);
+      VariantOptions(SimdPolicy::kScalar, SweepPrecision::kFloat64);
   pagerank::SolverWorkspace ws;
   for (auto _ : state) {
     auto r = pagerank::ComputePageRankMulti(g, jumps, opt, &ws);

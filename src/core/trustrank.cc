@@ -21,12 +21,7 @@ Result<std::vector<NodeId>> SelectSeedsByInversePageRank(
     return Status::InvalidArgument("empty graph");
   }
   WebGraph reversed = graph.Transposed();
-  // The transposed graph is a throwaway for this one auxiliary solve;
-  // encoding its in-adjacency just to honor compressed_gather would cost
-  // the O(m) varint pass the option exists to avoid. Solve it plain.
-  pagerank::SolverOptions seed_solver = solver;
-  seed_solver.compressed_gather = false;
-  auto pr = pagerank::ComputeUniformPageRank(reversed, seed_solver, workspace);
+  auto pr = pagerank::ComputeUniformPageRank(reversed, solver, workspace);
   if (!pr.ok()) return pr.status();
   const std::vector<double>& scores = pr.value().scores;
   std::vector<NodeId> order(graph.num_nodes());

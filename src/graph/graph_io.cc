@@ -129,12 +129,10 @@ constexpr char kMagic[4] = {'S', 'M', 'W', 'G'};
 constexpr uint32_t kVersionLegacy = 1;
 constexpr uint32_t kVersionCurrent = 2;
 constexpr uint32_t kFlagHostNames = 1u << 0;
-// Format 2.1: optional delta+varint compressed in-adjacency section
-// (csr_codec.h) between the CSR arrays and the host-name blob. The former
-// reserved header word doubles as the minor version — written as 1 only
-// when the section is present, so plain v2 files stay byte-identical to
-// minor-version-0 output and old readers only reject files that actually
-// carry the new section.
+// Format 2.1 added a compressed in-adjacency section, marked by this flag
+// and minor version 1 (the former reserved header word). The section and
+// its sweep are gone; such files are rejected with a pointer to
+// re-convert, never misparsed.
 constexpr uint32_t kFlagCompressedIn = 1u << 1;
 // Format 2.2: page-aligned paged layout for mmap loading. The flag and the
 // minor version are both set so pre-2.2 readers reject paged files with a
@@ -274,36 +272,33 @@ Result<WebGraph> ReadBinaryV2(std::ifstream& f, const std::string& path,
     }
     return ReadBinaryV22Heap(path, pool);
   }
-  if ((flags & ~(kFlagHostNames | kFlagCompressedIn)) != 0) {
+  if ((flags & kFlagCompressedIn) != 0 || reserved == kMinorCompressed) {
+    return Status::InvalidArgument(
+        path + ": format 2.1 (compressed in-adjacency section) is no longer "
+               "supported; re-convert from the edge list");
+  }
+  if ((flags & ~kFlagHostNames) != 0 || reserved != kMinorPlain) {
     return Status::InvalidArgument(path + ": unknown header flags");
   }
   const bool has_names = (flags & kFlagHostNames) != 0;
-  const bool has_compressed = (flags & kFlagCompressedIn) != 0;
-  // The minor version (former reserved word) and the section flag must
-  // agree; anything else is a writer this reader does not know.
-  if (reserved != (has_compressed ? kMinorCompressed : kMinorPlain)) {
-    return Status::InvalidArgument(path + ": unknown header flags");
-  }
   if (num_nodes >= kInvalidNode) {
     return Status::OutOfRange(path + ": node count exceeds 32-bit range");
   }
 
   // Size sanity before any allocation: the declared arrays plus trailer
-  // must fit the actual file exactly (the compressed section and names add
-  // variable-length blobs, each verified against the remaining bytes as
-  // its size field is read). The per-element bounds also keep the size
-  // arithmetic below from overflowing on garbage counts. Both adjacency
-  // directions are stored, hence the doubled per-node / per-edge
-  // footprints.
+  // must fit the actual file exactly (the names add a variable-length
+  // blob, verified against the remaining bytes as its size field is
+  // read). The per-element bounds also keep the size arithmetic below
+  // from overflowing on garbage counts. Both adjacency directions are
+  // stored, hence the doubled per-node / per-edge footprints.
   if (num_nodes > file_size / 16 || num_edges > file_size / 8) {
     return Status::IoError(path + ": truncated");
   }
   const uint64_t csr_end = 32 + 2 * ((num_nodes + 1) * 8 + num_edges * 4);
-  const uint64_t min_size = csr_end +
-                            (has_compressed ? 8 + (num_nodes + 1) * 8 : 0) +
-                            (has_names ? 8 + (num_nodes + 1) * 8 : 0) + 8;
+  const uint64_t min_size =
+      csr_end + (has_names ? 8 + (num_nodes + 1) * 8 : 0) + 8;
   if (file_size < min_size) return Status::IoError(path + ": truncated");
-  if (!has_names && !has_compressed && file_size != min_size) {
+  if (!has_names && file_size != min_size) {
     return Status::InvalidArgument(path + ": trailing bytes after payload");
   }
 
@@ -318,28 +313,6 @@ Result<WebGraph> ReadBinaryV2(std::ifstream& f, const std::string& path,
     return Status::IoError(path + ": truncated");
   }
 
-  CompressedAdjacency compressed;
-  uint64_t compressed_bytes = 0;
-  if (has_compressed) {
-    char section_header[8];
-    f.read(section_header, sizeof(section_header));
-    if (!f) return Status::IoError(path + ": truncated");
-    hasher.Update(section_header, sizeof(section_header));
-    std::memcpy(&compressed_bytes, section_header, sizeof(compressed_bytes));
-    if (compressed_bytes > file_size - min_size) {
-      return Status::InvalidArgument(path +
-                                     ": compressed section size mismatch");
-    }
-    if (!has_names && file_size != min_size + compressed_bytes) {
-      return Status::InvalidArgument(path + ": trailing bytes after payload");
-    }
-    compressed.byte_offsets.clear();
-    if (!ReadArray(f, &hasher, num_nodes + 1, &compressed.byte_offsets) ||
-        !ReadArray(f, &hasher, compressed_bytes, &compressed.bytes)) {
-      return Status::IoError(path + ": truncated");
-    }
-  }
-
   std::vector<std::string> names;
   if (has_names) {
     char blob_header[8];
@@ -348,7 +321,7 @@ Result<WebGraph> ReadBinaryV2(std::ifstream& f, const std::string& path,
     hasher.Update(blob_header, sizeof(blob_header));
     uint64_t blob_size = 0;
     std::memcpy(&blob_size, blob_header, sizeof(blob_size));
-    if (file_size != min_size + compressed_bytes + blob_size) {
+    if (file_size != min_size + blob_size) {
       return Status::InvalidArgument(path + ": host-name blob size mismatch");
     }
     std::vector<uint64_t> name_offsets;
@@ -391,21 +364,11 @@ Result<WebGraph> ReadBinaryV2(std::ifstream& f, const std::string& path,
   csr = ValidateCsr(static_cast<NodeId>(num_nodes), in_offsets, sources,
                     "in");
   if (!csr.ok()) return Status(csr.code(), path + ": " + csr.message());
-  if (has_compressed) {
-    // The section must decode to exactly the in-CSR just validated; only
-    // then may the sweeps trust its unchecked decode path.
-    Status comp = ValidateCompressedAdjacency(
-        compressed, static_cast<NodeId>(num_nodes), in_offsets, sources);
-    if (!comp.ok()) {
-      return Status(comp.code(), path + ": " + comp.message());
-    }
-  }
 
   WebGraph g = WebGraph::FromCsrPair(
       static_cast<NodeId>(num_nodes), std::move(out_offsets),
       std::move(targets), std::move(in_offsets), std::move(sources), pool);
   if (has_names) g.set_host_names(std::move(names));
-  if (has_compressed) g.AdoptCompressedInAdjacency(std::move(compressed));
   return g;
 }
 
@@ -536,7 +499,7 @@ Result<MappedV22> MapV22(const std::string& path, bool full_validate) {
       (flags & kFlagPaged) == 0) {
     return Status::InvalidArgument(path +
                                    ": not a v2.2 paged graph (use "
-                                   "ReadBinary for v1/v2.0/v2.1 files)");
+                                   "ReadBinary for v1/v2.0 files)");
   }
   if ((flags & ~(kFlagHostNames | kFlagPaged)) != 0) {
     return Status::InvalidArgument(path + ": unknown header flags");
@@ -720,13 +683,8 @@ util::Status WriteBinary(const WebGraph& graph, const std::string& path) {
   out.Write(kMagic, sizeof(kMagic));
   out.WriteValue(kVersionCurrent);
   const bool has_names = !graph.host_names().empty();
-  const bool has_compressed = graph.has_compressed_in();
-  const uint32_t flags = (has_names ? kFlagHostNames : 0u) |
-                         (has_compressed ? kFlagCompressedIn : 0u);
-  out.WriteValue(flags);
-  // Minor version in the former reserved word; stays 0 (the original
-  // byte pattern) unless the compressed section follows.
-  out.WriteValue(has_compressed ? kMinorCompressed : kMinorPlain);
+  out.WriteValue(has_names ? kFlagHostNames : 0u);
+  out.WriteValue(kMinorPlain);
   out.WriteValue(static_cast<uint64_t>(graph.num_nodes()));
   out.WriteValue(graph.num_edges());
   const auto offsets = graph.OutOffsets();
@@ -737,13 +695,6 @@ util::Status WriteBinary(const WebGraph& graph, const std::string& path) {
   out.Write(targets.data(), targets.size_bytes());
   out.Write(in_offsets.data(), in_offsets.size_bytes());
   out.Write(sources.data(), sources.size_bytes());
-  if (has_compressed) {
-    const CompressedAdjacency& compressed = graph.compressed_in();
-    out.WriteValue(static_cast<uint64_t>(compressed.bytes.size()));
-    out.Write(compressed.byte_offsets.data(),
-              compressed.byte_offsets.size() * sizeof(uint64_t));
-    out.Write(compressed.bytes.data(), compressed.bytes.size());
-  }
   if (has_names) {
     const auto& names = graph.host_names();
     std::vector<uint64_t> name_offsets;

@@ -7,10 +7,9 @@
 //     writes with a trailing interleaved-FNV checksum, and loads them back
 //     into WebGraph without re-materializing an edge-pair list, re-sorting,
 //     or rebuilding the transpose; see docs/graph_format.md for the byte
-//     layout. Format 2.1 adds an optional checksummed delta+varint
-//     compressed in-adjacency section (csr_codec.h) between the CSR arrays
-//     and the names; files without it remain byte-identical to 2.0
-//     output. Format 2.2 (WriteBinaryV22) is the page-aligned *paged*
+//     layout. Format 2.1 files (a compressed in-adjacency section, since
+//     removed) are rejected with a request to re-convert.
+//     Format 2.2 (WriteBinaryV22) is the page-aligned *paged*
 //     layout: a section table in a 4 KiB header page, every array stored
 //     4 KiB-aligned with per-section checksums, so ReadBinaryMmap can back
 //     a WebGraph zero-copy by the mapped file and load in O(1) instead of
@@ -45,19 +44,16 @@ util::Result<WebGraph> ReadEdgeListText(const std::string& path,
                                         util::ThreadPool* pool = nullptr);
 
 /// Writes the current binary container (magic "SMWG", version 2): both CSR
-/// directions and, when the graph carries them, the compressed
-/// in-adjacency section (format 2.1) and the host-name blob, ending in a
-/// whole-file checksum.
+/// directions and, when the graph carries them, the host-name blob, ending
+/// in a whole-file checksum.
 util::Status WriteBinary(const WebGraph& graph, const std::string& path);
 
 /// Writes the page-aligned v2.2 container for mmap loading: a 4 KiB header
 /// page holding a checksummed section table, then every array — both CSR
 /// directions plus the derived solver arrays (inverse out-degrees,
 /// dangling list) and the optional host-name sections — at a 4 KiB-aligned
-/// offset with full and bounded-sample FNV checksums per section. The
-/// compressed in-adjacency is NOT persisted (rebuild on demand with
-/// BuildCompressedInAdjacency); see docs/graph_format.md for the layout
-/// and the v2.2 trust model.
+/// offset with full and bounded-sample FNV checksums per section; see
+/// docs/graph_format.md for the layout and the v2.2 trust model.
 util::Status WriteBinaryV22(const WebGraph& graph, const std::string& path);
 
 /// Maps a v2.2 file and returns a WebGraph whose arrays are zero-copy
@@ -68,7 +64,7 @@ util::Status WriteBinaryV22(const WebGraph& graph, const std::string& path);
 /// small dangling section is fully validated; debug builds additionally
 /// verify every full-section checksum and run the O(n+m) structural
 /// validators. Host names (when present) are copied to the heap. Fails
-/// with InvalidArgument on v1/v2.0/v2.1 files — those load via ReadBinary.
+/// with InvalidArgument on v1/v2.0 files — those load via ReadBinary.
 util::Result<WebGraph> ReadBinaryMmap(const std::string& path);
 
 /// Writes the legacy version-1 container (per-row degree + target records,
@@ -77,7 +73,8 @@ util::Result<WebGraph> ReadBinaryMmap(const std::string& path);
 util::Status WriteBinaryV1(const WebGraph& graph, const std::string& path);
 
 /// Reads a binary graph written by WriteBinary (v2), WriteBinaryV22, or
-/// WriteBinaryV1, always into heap-owned storage. Version 2 payloads are
+/// WriteBinaryV1, always into heap-owned storage. Format 2.1 files fail
+/// with InvalidArgument naming the path. Version 2 payloads are
 /// checksum-verified and structurally validated (ValidateCsr on both
 /// directions), then adopted directly as the graph's CSR arrays; only the
 /// cheap derived solver arrays are rebuilt — in parallel when `pool` is

@@ -221,7 +221,6 @@ WebGraph ApplyReordering(const WebGraph& graph, const Reordering& reordering,
     }
     result.set_host_names(std::move(names));
   }
-  if (graph.has_compressed_in()) result.BuildCompressedInAdjacency();
   DCHECK_OK(ValidateGraph(result));
   return result;
 }

@@ -1,8 +1,7 @@
 // Locality-aware vertex reordering (ROADMAP items 3-4). Crawl-order node
 // IDs scatter a sweep's gather stream across the whole score array; both
 // orderings here cluster high-traffic nodes so the gathered cache lines
-// stay hot, and the same permutation machinery is the prerequisite for
-// host-range sharding. PageRank scores are permutation-equivariant, so
+// stay hot. PageRank scores are permutation-equivariant, so
 // solving on the reordered graph and mapping IDs back through the inverse
 // permutation changes nothing observable (asserted by
 // graph_reorder_test.cc / pipeline_variant_equivalence_test.cc).
@@ -37,9 +36,7 @@ enum class ReorderKind {
   /// each component from a minimum-degree start, expanding neighbors in
   /// ascending-degree order, and the whole order is reversed — the classic
   /// bandwidth-minimizing permutation. Narrow bandwidth means a sweep's
-  /// gather window is a short, mostly-resident slice of the score array;
-  /// it also concentrates each host-range shard's ghosts near its
-  /// boundaries (docs/performance.md).
+  /// gather window is a short, mostly-resident slice of the score array.
   kRcm,
 };
 
@@ -66,8 +63,8 @@ Reordering ComputeReordering(const WebGraph& graph, ReorderKind kind);
 
 /// Applies `reordering` to `graph`: node x of the result is node
 /// inverse[x] of the input, every adjacency relabeled and re-sorted. Host
-/// names follow the permutation; the compressed in-adjacency is rebuilt
-/// when the input carries one. `pool` parallelizes the transpose rebuild.
+/// names follow the permutation. `pool` parallelizes the transpose
+/// rebuild.
 WebGraph ApplyReordering(const WebGraph& graph, const Reordering& reordering,
                          util::ThreadPool* pool = nullptr);
 

@@ -21,8 +21,6 @@
 #include <string_view>
 #include <vector>
 
-#include "graph/csr_codec.h"
-
 namespace spammass::util {
 class MmapFile;
 class ThreadPool;
@@ -190,23 +188,6 @@ class WebGraph {
   /// to at most one page more than a whole-mapping probe per boundary.
   std::vector<SectionResidency> MappedSectionResidency() const;
 
-  /// Optional delta+varint compressed form of the in-neighbor adjacency
-  /// (csr_codec.h), used by the bandwidth-optimized PageRank sweeps when
-  /// SolverOptions::compressed_gather is on. Absent unless built or adopted.
-  bool has_compressed_in() const { return !compressed_in_.empty(); }
-  const CompressedAdjacency& compressed_in() const { return compressed_in_; }
-
-  /// Builds the compressed in-adjacency from the plain CSR arrays.
-  /// Idempotent; costs one pass over the edges. Works for mapped graphs
-  /// too (the compressed form is heap-owned; v2.2 files don't persist it).
-  void BuildCompressedInAdjacency();
-
-  /// Adopts an already-validated compressed in-adjacency (the v2 binary
-  /// loader's zero-rebuild path). The section must decode to exactly the
-  /// in-CSR arrays; debug builds re-validate, release builds trust the
-  /// caller (the loader validates untrusted bytes before adopting).
-  void AdoptCompressedInAdjacency(CompressedAdjacency compressed);
-
   /// Optional per-node host names (empty when unset). When set, the vector
   /// has exactly num_nodes() entries.
   const std::vector<std::string>& host_names() const { return host_names_; }
@@ -247,9 +228,6 @@ class WebGraph {
   // Keeps the file mapping alive for mapped graphs; null for heap graphs.
   std::shared_ptr<const util::MmapFile> mapping_;
 
-  // Optional compressed in-adjacency; empty (one zero offset) unless
-  // BuildCompressedInAdjacency or AdoptCompressedInAdjacency ran.
-  CompressedAdjacency compressed_in_;
   std::vector<std::string> host_names_;
 
   /// Re-points all views at the owned vectors. Must run after any build

@@ -200,7 +200,7 @@ void WeightedJacobiSweepMulti(const WebGraph& graph, uint32_t k,
 
 namespace {
 
-/// Fills the variant-independent SweepArgs fields. The jump multipliers
+/// Fills the SweepArgs every sweep-range routine reads. The jump multipliers
 /// land in caller-owned `m` storage (hoisted once per kernel call; the
 /// reference path computes the same expression per chunk).
 template <typename Real>
@@ -208,20 +208,11 @@ simd::SweepArgs<Real> MakeSweepArgs(const WebGraph& graph, uint32_t k,
                                     const Real* v, double damping,
                                     const double* dangling, const Real* inv,
                                     const Real* p, const Real* scaled,
-                                    Real* next, Real* next_scaled,
-                                    bool compressed, Real* m) {
+                                    Real* next, Real* next_scaled, Real* m) {
   simd::SweepArgs<Real> args;
   args.k = k;
   args.in_offsets = graph.InOffsets().data();
-  if (compressed) {
-    CHECK(graph.has_compressed_in())
-        << "compressed sweep variant requires WebGraph::"
-           "BuildCompressedInAdjacency";
-    args.comp_offsets = graph.compressed_in().byte_offsets.data();
-    args.comp_bytes = graph.compressed_in().bytes.data();
-  } else {
-    args.sources = graph.Sources().data();
-  }
+  args.sources = graph.Sources().data();
   args.inv = inv;
   args.v = v;
   args.c = static_cast<Real>(damping);
@@ -262,9 +253,8 @@ void WeightedJacobiSweepMulti(const WebGraph& graph, uint32_t k,
                               const double* scaled, double* next,
                               double* next_scaled,
                               std::vector<double>* partials, double* diffs,
-                              const SweepVariant& variant,
-                              util::ThreadPool* pool) {
-  if (variant.IsDefault()) {
+                              simd::Level level, util::ThreadPool* pool) {
+  if (level == simd::Level::kScalar) {
     // The reference path must stay byte-for-byte the pre-variant code, so
     // the bit-exact guarantee never depends on template instantiation
     // details.
@@ -277,10 +267,9 @@ void WeightedJacobiSweepMulti(const WebGraph& graph, uint32_t k,
   double m[kMaxVectorsPerSweep];
   const simd::SweepArgs<double> args = MakeSweepArgs<double>(
       graph, k, v, damping, dangling, graph.InvOutDegrees().data(), p,
-      scaled, next, next_scaled, variant.compressed, m);
-  RunVariantSweep<double>(
-      simd::PickSweepF64(variant.level, k, variant.compressed), args, k,
-      graph.num_nodes(), partials, diffs, pool);
+      scaled, next, next_scaled, m);
+  RunVariantSweep<double>(simd::PickSweepF64(level, k), args, k,
+                          graph.num_nodes(), partials, diffs, pool);
 }
 
 void InvOutDegreesF32(const WebGraph& graph, std::vector<float>* out) {
@@ -339,17 +328,14 @@ void WeightedJacobiSweepMultiF32(const WebGraph& graph, uint32_t k,
                                  const float* p, const float* scaled,
                                  float* next, float* next_scaled,
                                  std::vector<double>* partials, double* diffs,
-                                 const SweepVariant& variant,
-                                 util::ThreadPool* pool) {
+                                 simd::Level level, util::ThreadPool* pool) {
   CHECK_GE(k, 1u);
   CHECK_LE(k, kMaxVectorsPerSweep);
   float m[kMaxVectorsPerSweep];
-  const simd::SweepArgs<float> args =
-      MakeSweepArgs<float>(graph, k, v, damping, dangling, inv, p, scaled,
-                           next, next_scaled, variant.compressed, m);
-  RunVariantSweep<float>(
-      simd::PickSweepF32(variant.level, k, variant.compressed), args, k,
-      graph.num_nodes(), partials, diffs, pool);
+  const simd::SweepArgs<float> args = MakeSweepArgs<float>(
+      graph, k, v, damping, dangling, inv, p, scaled, next, next_scaled, m);
+  RunVariantSweep<float>(simd::PickSweepF32(level, k), args, k,
+                         graph.num_nodes(), partials, diffs, pool);
 }
 
 }  // namespace spammass::pagerank::kernel

@@ -43,20 +43,6 @@
 
 namespace spammass::pagerank::kernel {
 
-/// Selects the sweep implementation: instruction-set tier (simd.h) and
-/// edge encoding. The default — scalar, plain CSR — is the bit-exact
-/// reference path; every other combination is validated against it by
-/// pagerank_sweep_variant_test.cc. `compressed` requires the graph to
-/// carry a compressed in-adjacency (WebGraph::has_compressed_in).
-struct SweepVariant {
-  simd::Level level = simd::Level::kScalar;
-  bool compressed = false;
-
-  bool IsDefault() const {
-    return level == simd::Level::kScalar && !compressed;
-  }
-};
-
 /// Maximum number of interleaved vectors one sweep advances. Callers batch
 /// larger multi-solves into groups of at most this many (the solver does
 /// this transparently); the cap keeps per-thread accumulators on the stack.
@@ -136,19 +122,19 @@ void WeightedJacobiSweepMulti(const graph::WebGraph& graph, uint32_t k,
                               std::vector<double>* partials, double* diffs,
                               util::ThreadPool* pool);
 
-/// Variant-selecting overload: `variant` picks the instruction set and the
-/// edge encoding. The default variant routes through the exact code path
-/// of the overload above (bit-identical results); vectorized and
-/// compressed variants preserve each lane's accumulation order but may
-/// differ from the reference by FMA contraction (see simd.h).
+/// Level-selecting overload: `level` picks the instruction set (simd.h).
+/// kScalar routes through the exact code path of the overload above
+/// (bit-identical results) and is the reference every other level is
+/// validated against by pagerank_sweep_variant_test.cc; vectorized levels
+/// preserve each lane's accumulation order but may differ from the
+/// reference by FMA contraction (see simd.h).
 void WeightedJacobiSweepMulti(const graph::WebGraph& graph, uint32_t k,
                               const double* v, double damping,
                               const double* dangling, const double* p,
                               const double* scaled, double* next,
                               double* next_scaled,
                               std::vector<double>* partials, double* diffs,
-                              const SweepVariant& variant,
-                              util::ThreadPool* pool);
+                              simd::Level level, util::ThreadPool* pool);
 
 /// Narrows the graph's cached inverse out-degrees to float32 scratch for
 /// the f32 sweep family (resizes `out` to num_nodes()).
@@ -170,7 +156,7 @@ void DanglingSumsF32(const graph::WebGraph& graph, uint32_t k, const float* p,
                      std::vector<double>* partials, double* sums,
                      util::ThreadPool* pool);
 
-/// float32 twin of the variant-selecting WeightedJacobiSweepMulti. Lane
+/// float32 twin of the level-selecting WeightedJacobiSweepMulti. Lane
 /// storage (`v`, `p`, `scaled`, `next`, `next_scaled`) is float32 — half
 /// the sweep's memory traffic — while `dangling` carries the f64
 /// DanglingSumsF32 measurements and every L1 difference accumulates in
@@ -182,8 +168,7 @@ void WeightedJacobiSweepMultiF32(const graph::WebGraph& graph, uint32_t k,
                                  const float* p, const float* scaled,
                                  float* next, float* next_scaled,
                                  std::vector<double>* partials, double* diffs,
-                                 const SweepVariant& variant,
-                                 util::ThreadPool* pool);
+                                 simd::Level level, util::ThreadPool* pool);
 
 }  // namespace spammass::pagerank::kernel
 

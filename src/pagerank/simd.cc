@@ -6,17 +6,13 @@
 
 namespace spammass::pagerank::simd {
 
-// Vector backends, defined in simd_avx2.cc / simd_neon.cc when compiled
-// for the matching architecture. They return nullptr for widths they do
-// not vectorize; this TU then falls back to ScalarSweepRange.
+// Vector backend, defined in simd_avx2.cc when compiled for x86-64. It
+// returns nullptr for widths it does not vectorize; this TU then falls
+// back to ScalarSweepRange.
 #if defined(__x86_64__) || defined(_M_X64)
-SweepRangeFn<double> PickAvx2SweepF64(uint32_t k, bool compressed);
-SweepRangeFn<float> PickAvx2SweepF32(uint32_t k, bool compressed);
+SweepRangeFn<double> PickAvx2SweepF64(uint32_t k);
+SweepRangeFn<float> PickAvx2SweepF32(uint32_t k);
 bool Avx2HostSupported();
-#endif
-#if defined(__aarch64__)
-SweepRangeFn<double> PickNeonSweepF64(uint32_t k, bool compressed);
-SweepRangeFn<float> PickNeonSweepF32(uint32_t k, bool compressed);
 #endif
 
 const char* LevelToString(Level level) {
@@ -25,8 +21,6 @@ const char* LevelToString(Level level) {
       return "scalar";
     case Level::kAvx2:
       return "avx2";
-    case Level::kNeon:
-      return "neon";
   }
   return "scalar";
 }
@@ -41,20 +35,12 @@ bool IsSupported(Level level) {
 #else
       return false;
 #endif
-    case Level::kNeon:
-#if defined(__aarch64__)
-      return true;
-#else
-      return false;
-#endif
   }
   return false;
 }
 
 Level Best() {
-  if (IsSupported(Level::kAvx2)) return Level::kAvx2;
-  if (IsSupported(Level::kNeon)) return Level::kNeon;
-  return Level::kScalar;
+  return IsSupported(Level::kAvx2) ? Level::kAvx2 : Level::kScalar;
 }
 
 namespace {
@@ -62,59 +48,44 @@ namespace {
 /// Scalar instantiation table: the same compile-time widths the fused
 /// kernel specializes (1/2/4/8/16), with the runtime-k body covering
 /// compacted in-between widths.
-template <typename Real, bool Compressed>
-SweepRangeFn<Real> PickScalar(uint32_t k) {
+template <typename Real>
+SweepRangeFn<Real> PickScalarSweep(uint32_t k) {
   switch (k) {
     case 1:
-      return ScalarSweepRange<Real, 1, Compressed>;
+      return ScalarSweepRange<Real, 1>;
     case 2:
-      return ScalarSweepRange<Real, 2, Compressed>;
+      return ScalarSweepRange<Real, 2>;
     case 4:
-      return ScalarSweepRange<Real, 4, Compressed>;
+      return ScalarSweepRange<Real, 4>;
     case 8:
-      return ScalarSweepRange<Real, 8, Compressed>;
+      return ScalarSweepRange<Real, 8>;
     case 16:
-      return ScalarSweepRange<Real, 16, Compressed>;
+      return ScalarSweepRange<Real, 16>;
     default:
-      return ScalarSweepRange<Real, 0, Compressed>;
+      return ScalarSweepRange<Real, 0>;
   }
-}
-
-template <typename Real>
-SweepRangeFn<Real> PickScalarSweep(uint32_t k, bool compressed) {
-  return compressed ? PickScalar<Real, true>(k) : PickScalar<Real, false>(k);
 }
 
 }  // namespace
 
-SweepRangeFn<double> PickSweepF64(Level level, uint32_t k, bool compressed) {
+SweepRangeFn<double> PickSweepF64(Level level, uint32_t k) {
 #if defined(__x86_64__) || defined(_M_X64)
   if (level == Level::kAvx2 && Avx2HostSupported()) {
-    if (SweepRangeFn<double> fn = PickAvx2SweepF64(k, compressed)) return fn;
-  }
-#endif
-#if defined(__aarch64__)
-  if (level == Level::kNeon) {
-    if (SweepRangeFn<double> fn = PickNeonSweepF64(k, compressed)) return fn;
+    if (SweepRangeFn<double> fn = PickAvx2SweepF64(k)) return fn;
   }
 #endif
   (void)level;
-  return PickScalarSweep<double>(k, compressed);
+  return PickScalarSweep<double>(k);
 }
 
-SweepRangeFn<float> PickSweepF32(Level level, uint32_t k, bool compressed) {
+SweepRangeFn<float> PickSweepF32(Level level, uint32_t k) {
 #if defined(__x86_64__) || defined(_M_X64)
   if (level == Level::kAvx2 && Avx2HostSupported()) {
-    if (SweepRangeFn<float> fn = PickAvx2SweepF32(k, compressed)) return fn;
-  }
-#endif
-#if defined(__aarch64__)
-  if (level == Level::kNeon) {
-    if (SweepRangeFn<float> fn = PickNeonSweepF32(k, compressed)) return fn;
+    if (SweepRangeFn<float> fn = PickAvx2SweepF32(k)) return fn;
   }
 #endif
   (void)level;
-  return PickScalarSweep<float>(k, compressed);
+  return PickScalarSweep<float>(k);
 }
 
 }  // namespace spammass::pagerank::simd

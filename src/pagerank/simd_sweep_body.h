@@ -1,11 +1,11 @@
-// Shared sweep-loop body for every (precision, lane-width, edge-encoding)
-// variant of the multi-RHS Jacobi sweep. kernel.cc instantiates the scalar
-// template for the default bit-exact path; simd.cc instantiates the scalar
-// fallbacks for the non-default variants; simd_avx2.cc / simd_neon.cc
-// provide hand-vectorized overrides registered through simd.h. Keeping the
-// loop in one header guarantees every scalar variant computes the exact
-// expressions documented in kernel.h — specializations only unroll or
-// vectorize element-wise, never reassociate a lane's accumulation order.
+// Shared sweep-loop body for every (precision, lane-width) variant of the
+// multi-RHS Jacobi sweep. kernel.cc instantiates the scalar template for
+// the default bit-exact path; simd.cc instantiates the scalar fallbacks for
+// the non-default variants; simd_avx2.cc provides hand-vectorized
+// overrides registered through simd.h. Keeping the loop in one header
+// guarantees every scalar variant computes the exact expressions
+// documented in kernel.h — specializations only unroll or vectorize
+// element-wise, never reassociate a lane's accumulation order.
 //
 // No intrinsics live here (spammass_lint.py `simd-isolation` enforces
 // that); this header is pure portable C++.
@@ -16,7 +16,7 @@
 #include <cmath>
 #include <cstdint>
 
-#include "graph/csr_codec.h"
+#include "graph/web_graph.h"
 
 namespace spammass::pagerank::simd {
 
@@ -33,13 +33,9 @@ inline constexpr uint32_t kMaxSweepLanes = 16;
 template <typename Real>
 struct SweepArgs {
   uint32_t k = 1;
-  /// In-CSR: offsets always present (they carry the in-degrees); exactly
-  /// one of `sources` (plain) or `comp_offsets`+`comp_bytes` (compressed)
-  /// is non-null.
+  /// In-CSR offsets and source ids.
   const uint64_t* in_offsets = nullptr;
   const NodeId* sources = nullptr;
-  const uint64_t* comp_offsets = nullptr;
-  const uint8_t* comp_bytes = nullptr;
   /// Inverse out-degrees in the sweep precision (0 for dangling nodes).
   const Real* inv = nullptr;
   /// Jump vectors, interleaved.
@@ -67,7 +63,7 @@ inline double AbsDiff(float a, float b) {
 /// Portable sweep over node range [begin, end). K is the compile-time lane
 /// count (0 = use args.k for compacted in-between widths). diff_slot[j]
 /// receives the range's L1 difference for lane j, accumulated in double.
-template <typename Real, uint32_t K, bool Compressed>
+template <typename Real, uint32_t K>
 void ScalarSweepRange(const SweepArgs<Real>& args, double* diff_slot,
                       NodeId begin, NodeId end) {
   const uint32_t lanes = K == 0 ? args.k : K;
@@ -77,23 +73,10 @@ void ScalarSweepRange(const SweepArgs<Real>& args, double* diff_slot,
   for (NodeId y = begin; y < end; ++y) {
     Real in_sum[kMaxSweepLanes];
     for (uint32_t j = 0; j < lanes; ++j) in_sum[j] = Real(0);
-    if constexpr (Compressed) {
-      const uint8_t* cp = args.comp_bytes + args.comp_offsets[y];
-      const uint64_t degree = in_offsets[y + 1] - in_offsets[y];
-      NodeId prev = 0;
-      for (uint64_t e = 0; e < degree; ++e) {
-        const NodeId src = prev + graph::DecodeVarint32Unchecked(&cp);
-        prev = src + 1;
-        const Real* row = args.scaled + static_cast<uint64_t>(src) * lanes;
-        for (uint32_t j = 0; j < lanes; ++j) in_sum[j] += row[j];
-      }
-    } else {
-      const NodeId* sources = args.sources;
-      for (uint64_t e = in_offsets[y]; e < in_offsets[y + 1]; ++e) {
-        const Real* row =
-            args.scaled + static_cast<uint64_t>(sources[e]) * lanes;
-        for (uint32_t j = 0; j < lanes; ++j) in_sum[j] += row[j];
-      }
+    for (uint64_t e = in_offsets[y]; e < in_offsets[y + 1]; ++e) {
+      const Real* row =
+          args.scaled + static_cast<uint64_t>(args.sources[e]) * lanes;
+      for (uint32_t j = 0; j < lanes; ++j) in_sum[j] += row[j];
     }
     const Real* vrow = args.v + static_cast<uint64_t>(y) * lanes;
     const Real* prow = args.p + static_cast<uint64_t>(y) * lanes;

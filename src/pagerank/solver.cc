@@ -8,7 +8,6 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "pagerank/kernel.h"
-#include "pagerank/shard_sweep.h"
 #include "pagerank/solver_validate.h"
 #include "util/debug.h"
 #include "util/logging.h"
@@ -66,8 +65,6 @@ const char* SimdPolicyToString(SimdPolicy policy) {
       return "auto";
     case SimdPolicy::kAvx2:
       return "avx2";
-    case SimdPolicy::kNeon:
-      return "neon";
   }
   return "unknown";
 }
@@ -76,7 +73,6 @@ Result<SimdPolicy> SimdPolicyFromString(std::string_view name) {
   if (name == "scalar") return SimdPolicy::kScalar;
   if (name == "auto") return SimdPolicy::kAuto;
   if (name == "avx2") return SimdPolicy::kAvx2;
-  if (name == "neon") return SimdPolicy::kNeon;
   return Status::InvalidArgument("unknown simd policy: " + std::string(name));
 }
 
@@ -142,27 +138,20 @@ obs::Histogram* IterationsHistogram() {
   return histogram;
 }
 
-/// Maps the validated SolverOptions onto a kernel sweep variant. kAuto
-/// resolves to the best level the host supports; a forced-but-unsupported
-/// level was already rejected by CheckGraphAndOptions.
-kernel::SweepVariant ResolveVariant(const SolverOptions& opt) {
-  kernel::SweepVariant variant;
+/// Maps the validated SolverOptions onto a kernel instruction-set level.
+/// kAuto resolves to the best level the host supports; a
+/// forced-but-unsupported level was already rejected by
+/// CheckGraphAndOptions.
+simd::Level ResolveLevel(const SolverOptions& opt) {
   switch (opt.simd) {
     case SimdPolicy::kScalar:
-      variant.level = simd::Level::kScalar;
-      break;
+      return simd::Level::kScalar;
     case SimdPolicy::kAuto:
-      variant.level = simd::Best();
-      break;
+      return simd::Best();
     case SimdPolicy::kAvx2:
-      variant.level = simd::Level::kAvx2;
-      break;
-    case SimdPolicy::kNeon:
-      variant.level = simd::Level::kNeon;
-      break;
+      return simd::Level::kAvx2;
   }
-  variant.compressed = opt.compressed_gather;
-  return variant;
+  return simd::Level::kScalar;
 }
 
 /// Sum of scores over dangling nodes. Scans the graph's precomputed
@@ -205,8 +194,8 @@ void CompactLanes(std::vector<double>* flat, uint64_t n, uint32_t k,
 /// residual history are updated in place.
 int MixedPrecisionPrePhase(const WebGraph& graph, uint32_t k, uint64_t n,
                            const SolverOptions& opt,
-                           const kernel::SweepVariant& variant,
-                           bool redistribute, std::vector<double>* cur,
+                           simd::Level level, bool redistribute,
+                           std::vector<double>* cur,
                            const std::vector<double>& vflat,
                            std::vector<PageRankResult>* results,
                            SolverWorkspace* ws, util::ThreadPool* pool) {
@@ -248,7 +237,7 @@ int MixedPrecisionPrePhase(const WebGraph& graph, uint32_t k, uint64_t n,
     kernel::WeightedJacobiSweepMultiF32(
         graph, k, fvflat.data(), opt.damping, dangling.data(), finv.data(),
         fcur.data(), fscaled.data(), fnext.data(), fscaled_next.data(),
-        &ws->node_partials(), diffs.data(), variant, pool);
+        &ws->node_partials(), diffs.data(), level, pool);
     fcur.swap(fnext);
     fscaled.swap(fscaled_next);
     SweepsCounter()->Increment();
@@ -293,16 +282,6 @@ std::vector<PageRankResult> SolveJacobiBatch(
   SPAMMASS_TRACE_SPAN("pagerank.solve", "method", "jacobi", "lanes", k);
   util::ThreadPool* pool = ws->EnsurePool(opt.num_threads);
 
-  // Sharded mode (opt.shards > 1): the sweeps run through a cached
-  // ShardRuntime, and the two scaled buffers grow a ghost region the
-  // exchange phase refreshes every sweep. Everything else — seeding,
-  // convergence, lane compaction — is shard-oblivious, because rows
-  // [0, n) of every buffer mean exactly what they mean unsharded.
-  ShardRuntime* shard_rt =
-      opt.shards > 1 ? ws->EnsureShardRuntime(graph, opt.shards) : nullptr;
-  const uint64_t scaled_rows =
-      shard_rt != nullptr ? shard_rt->extended_rows() : n;
-
   std::vector<double>& cur = ws->iterate();
   std::vector<double>& next = ws->next();
   std::vector<double>& scaled = ws->scaled();
@@ -310,8 +289,8 @@ std::vector<PageRankResult> SolveJacobiBatch(
   std::vector<double>& vflat = ws->jump_flat();
   cur.resize(n * k);
   next.resize(n * k);
-  scaled.resize(scaled_rows * k);
-  scaled_next.resize(scaled_rows * k);
+  scaled.resize(n * k);
+  scaled_next.resize(n * k);
   vflat.resize(n * k);
 
   for (uint64_t x = 0; x < n; ++x) {
@@ -324,7 +303,7 @@ std::vector<PageRankResult> SolveJacobiBatch(
 
   const bool redistribute =
       opt.dangling == DanglingPolicy::kRedistributeToJump;
-  const kernel::SweepVariant variant = ResolveVariant(opt);
+  const simd::Level level = ResolveLevel(opt);
   std::array<double, kernel::kMaxVectorsPerSweep> dangling{};
   std::array<double, kernel::kMaxVectorsPerSweep> diffs{};
 
@@ -337,7 +316,7 @@ std::vector<PageRankResult> SolveJacobiBatch(
   // the float64 loop below then starts at the pre-phase's iteration count.
   int start_iter = 0;
   if (opt.precision == SweepPrecision::kMixedF32) {
-    start_iter = MixedPrecisionPrePhase(graph, k, n, opt, variant,
+    start_iter = MixedPrecisionPrePhase(graph, k, n, opt, level,
                                         redistribute, &cur, vflat, &results,
                                         ws, pool);
   }
@@ -353,17 +332,10 @@ std::vector<PageRankResult> SolveJacobiBatch(
       kernel::DanglingSums(graph, live, cur.data(), &ws->dangling_partials(),
                            dangling.data(), pool);
     }
-    if (shard_rt != nullptr) {
-      shard_rt->SweepMulti(graph, live, vflat.data(), opt.damping,
-                           dangling.data(), cur.data(), scaled.data(),
-                           next.data(), scaled_next.data(),
-                           &ws->node_partials(), diffs.data(), pool);
-    } else {
-      kernel::WeightedJacobiSweepMulti(
-          graph, live, vflat.data(), opt.damping, dangling.data(),
-          cur.data(), scaled.data(), next.data(), scaled_next.data(),
-          &ws->node_partials(), diffs.data(), variant, pool);
-    }
+    kernel::WeightedJacobiSweepMulti(
+        graph, live, vflat.data(), opt.damping, dangling.data(), cur.data(),
+        scaled.data(), next.data(), scaled_next.data(), &ws->node_partials(),
+        diffs.data(), level, pool);
     cur.swap(next);
     scaled.swap(scaled_next);
     SweepsCounter()->Increment();
@@ -490,7 +462,7 @@ PageRankResult SolvePowerIteration(const WebGraph& graph,
   PageRankResult result;
   const uint32_t n = graph.num_nodes();
   const double c = opt.damping;
-  const kernel::SweepVariant variant = ResolveVariant(opt);
+  const simd::Level level = ResolveLevel(opt);
   util::ThreadPool* pool = ws->EnsurePool(opt.num_threads);
 
   // Normalize the jump distribution.
@@ -518,7 +490,7 @@ PageRankResult SolvePowerIteration(const WebGraph& graph,
                                      p.data(), scaled.data(), next.data(),
                                      /*next_scaled=*/nullptr,
                                      &ws->node_partials(), &sweep_diff,
-                                     variant, pool);
+                                     level, pool);
     // Guard against numerical drift of the norm.
     const double norm = kernel::DeterministicSum(
         pool, n,
@@ -587,11 +559,6 @@ Status CheckGraphAndOptions(const WebGraph& graph,
     return Status::InvalidArgument("simd policy avx2 forced on a host "
                                    "without AVX2+FMA support");
   }
-  if (options.simd == SimdPolicy::kNeon &&
-      !simd::IsSupported(simd::Level::kNeon)) {
-    return Status::InvalidArgument(
-        "simd policy neon forced on a non-AArch64 host");
-  }
   if (options.precision == SweepPrecision::kMixedF32 &&
       options.method != Method::kJacobi) {
     return Status::InvalidArgument(
@@ -600,42 +567,6 @@ Status CheckGraphAndOptions(const WebGraph& graph,
   if (options.precision == SweepPrecision::kMixedF32 &&
       !(options.f32_switch_tolerance >= 0.0)) {
     return Status::InvalidArgument("f32_switch_tolerance must be >= 0");
-  }
-  if (options.shards < 1) {
-    return Status::InvalidArgument("shards must be >= 1");
-  }
-  // Sharded sweeps exist to make the bit-exact reference scale; the
-  // vectorized / narrowed / compressed sweep bodies have no shard-local
-  // gather, so combining them is rejected rather than silently unsharded.
-  // Sequential Gauss-Seidel/SOR ignore shards (like num_threads).
-  if (options.shards > 1 && options.method == Method::kPowerIteration) {
-    return Status::InvalidArgument(
-        "shards > 1 supports the Jacobi method only");
-  }
-  if (options.shards > 1 && options.method == Method::kJacobi) {
-    if (options.simd != SimdPolicy::kScalar) {
-      return Status::InvalidArgument(
-          "shards > 1 requires the scalar simd policy");
-    }
-    if (options.precision != SweepPrecision::kFloat64) {
-      return Status::InvalidArgument("shards > 1 requires f64 precision");
-    }
-    if (options.compressed_gather) {
-      return Status::InvalidArgument(
-          "shards > 1 is incompatible with compressed_gather");
-    }
-  }
-  if (options.compressed_gather) {
-    if (options.method != Method::kJacobi &&
-        options.method != Method::kPowerIteration) {
-      return Status::InvalidArgument(
-          "compressed_gather requires the Jacobi or power-iteration method");
-    }
-    if (!graph.has_compressed_in()) {
-      return Status::FailedPrecondition(
-          "compressed_gather requires a graph with a compressed "
-          "in-adjacency (WebGraph::BuildCompressedInAdjacency)");
-    }
   }
   return Status::OK();
 }

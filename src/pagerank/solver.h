@@ -36,10 +36,10 @@ enum class Method { kJacobi, kGaussSeidel, kSor, kPowerIteration };
 
 /// Which sweep instruction set the Jacobi-family kernels may use. The
 /// scalar default is the bit-exact reference; kAuto picks the best level
-/// the host supports at runtime; forcing a level the host lacks fails
-/// option validation. Gauss-Seidel/SOR sweeps are sequential and ignore
-/// this.
-enum class SimdPolicy { kScalar, kAuto, kAvx2, kNeon };
+/// the host supports at runtime (AVX2 on x86-64, scalar elsewhere);
+/// forcing a level the host lacks fails option validation.
+/// Gauss-Seidel/SOR sweeps are sequential and ignore this.
+enum class SimdPolicy { kScalar, kAuto, kAvx2 };
 
 /// Lane-storage precision of the Jacobi sweep.
 enum class SweepPrecision {
@@ -92,29 +92,15 @@ struct SolverOptions {
   SimdPolicy simd = SimdPolicy::kScalar;
   /// Lane-storage precision of the Jacobi sweep (see SweepPrecision).
   SweepPrecision precision = SweepPrecision::kFloat64;
-  /// Gather in-edges from the graph's delta+varint compressed adjacency
-  /// (WebGraph::has_compressed_in must hold) instead of the plain source
-  /// array — ~4→~1.2 bytes of edge traffic per visit on power-law webs.
-  /// Decoding changes no floating-point operation, so compressed f64
-  /// scalar sweeps stay bit-identical to the reference. Jacobi and
-  /// power-iteration only.
+  /// Deprecated and ignored: the compressed-gather sweep was removed
+  /// because it lost to the plain CSR gather at every measured scale. The
+  /// field stays only so existing callers that clear it still compile.
   bool compressed_gather = false;
   /// Mixed-precision switch point: the float32 pre-phase hands over to
   /// float64 once every lane's residual drops below
   /// max(f32_switch_tolerance, tolerance). Near the float32 unit roundoff
   /// by default; raising it shifts work to the float64 phase.
   double f32_switch_tolerance = 1e-6;
-  /// Host-range shard count for the Jacobi sweep (pagerank/shard_sweep.h):
-  /// the node range is partitioned into this many contiguous shards, each
-  /// sweeping against its own compact working set with boundary rank
-  /// exchanged through ghost slots — the cache-blocking/out-of-core mode.
-  /// 1 (the default) is the unsharded kernel. Sharded scores and residuals
-  /// are bit-identical to unsharded for every shard and thread count.
-  /// Jacobi + scalar f64 + plain gather only: shards > 1 rejects other
-  /// simd/precision/compressed_gather settings, and the sequential
-  /// Gauss-Seidel/SOR sweeps ignore it (like num_threads). Use
-  /// graph::PickShardCount to size it from the cache budget.
-  uint32_t shards = 1;
 
   /// The solver configuration shared by the eval pipeline, the CLI
   /// defaults, and the paper-reproduction benches: Gauss-Seidel at 1e-10 /
@@ -129,7 +115,7 @@ const char* MethodToString(Method method);
 /// Inverse of MethodToString. Fails with InvalidArgument on unknown names.
 util::Result<Method> MethodFromString(std::string_view name);
 
-/// Human-readable SIMD policy name ("scalar", "auto", "avx2", "neon").
+/// Human-readable SIMD policy name ("scalar", "auto", "avx2").
 const char* SimdPolicyToString(SimdPolicy policy);
 
 /// Inverse of SimdPolicyToString. Fails with InvalidArgument on unknown

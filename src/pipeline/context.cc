@@ -93,13 +93,8 @@ Status PipelineContext::Prepare(const ArtifactNeeds& requested) {
     }
     obs::ScopedStageTimer timer("trustrank_seed_selection", &stage_timings_);
     graph::WebGraph reversed = web.Transposed();
-    // The transposed graph is a throwaway; encoding its in-adjacency just
-    // to honor compressed_gather would cost the O(m) varint pass the
-    // option exists to avoid. Solve the seed ranking plain.
-    pagerank::SolverOptions seed_solver = cfg.solver;
-    seed_solver.compressed_gather = false;
     auto inverse =
-        pagerank::ComputeUniformPageRank(reversed, seed_solver, &workspace_);
+        pagerank::ComputeUniformPageRank(reversed, cfg.solver, &workspace_);
     if (!inverse.ok()) return inverse.status();
     const std::vector<double>& scores = inverse.value().scores;
     std::vector<NodeId> order(web.num_nodes());

@@ -68,9 +68,6 @@ Result<PipelineRun> RunDetectors(
     reorder_timing.seconds = timer.Seconds();
   }
   LoadedGraph& working = reordered ? permuted : loaded;
-  if (config.solver.compressed_gather) {
-    working.web.graph.BuildCompressedInAdjacency();
-  }
 
   PipelineContext context(working, config);
   ArtifactNeeds needs;

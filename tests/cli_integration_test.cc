@@ -11,6 +11,7 @@
 #include <string>
 
 #include "json_test_util.h"
+#include "temp_dir_test_util.h"
 
 namespace spammass {
 namespace {
@@ -21,12 +22,10 @@ namespace {
 
 class CliTest : public ::testing::Test {
  protected:
-  static std::string Dir() { return testing::TempDir() + "/cli_test"; }
-
-  static void SetUpTestSuite() {
-    std::string mkdir = "mkdir -p " + Dir();
-    ASSERT_EQ(std::system(mkdir.c_str()), 0);
-  }
+  /// This test's own directory: every CliTest case runs as a separate
+  /// process under ctest, and a shared directory made concurrent cases
+  /// overwrite each other's stdout/stderr captures.
+  static std::string Dir() { return testutil::TestTempDir(); }
 
   /// Runs the CLI with the given arguments; returns the exit code.
   int Run(const std::string& args) {
@@ -220,9 +219,10 @@ TEST_F(CliTest, MetricsFormatPromRoundTrip) {
   ASSERT_EQ(Run("generate --scale 0.03 --seed 55 --out-paged " + d +
                 "/prom.smwg --out-core " + d + "/prom.core"),
             0);
-  // The acceptance path: a mapped sharded run exporting Prometheus text.
+  // The acceptance path: a mapped parallel Jacobi run exporting
+  // Prometheus text.
   ASSERT_EQ(Run("run --graph " + d + "/prom.smwg --mmap --method jacobi "
-                "--threads 2 --shards 2 "
+                "--threads 2 "
                 "--detectors spam_mass --core " + d + "/prom.core "
                 "--manifest " + d + "/prom_manifest.json "
                 "--metrics-format prom --metrics-out " + d +
@@ -238,9 +238,8 @@ TEST_F(CliTest, MetricsFormatPromRoundTrip) {
         "# TYPE graph_mmap_mapped_bytes gauge",
         "graph_mmap_resident_bytes ",
         "graph_mmap_resident_bytes_targets ",
-        "pagerank_shard_boundary_bytes_total ",
-        "pagerank_shard_ghost_gathers_total ",
-        "pagerank_shard_sweep_seconds_bucket{le=\"+Inf\"} ",
+        "pagerank_sweeps_total ",
+        "pagerank_solve_iterations_bucket{le=\"+Inf\"} ",
         "process_resource_samples_total "}) {
     EXPECT_NE(prom.find(needle), std::string::npos)
         << "prom output missing " << needle << "\n" << prom;

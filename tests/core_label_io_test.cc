@@ -6,6 +6,8 @@
 
 #include <fstream>
 
+#include "temp_dir_test_util.h"
+
 namespace spammass {
 namespace {
 
@@ -14,7 +16,7 @@ using core::NodeLabel;
 using graph::NodeId;
 
 std::string TempPath(const std::string& name) {
-  return testing::TempDir() + "/" + name;
+  return testutil::TestTempPath(name);
 }
 
 TEST(LabelIoTest, RoundTrip) {

@@ -12,6 +12,7 @@
 #include <iterator>
 
 #include "graph/graph_builder.h"
+#include "temp_dir_test_util.h"
 #include "util/checksum.h"
 #include "util/random.h"
 #include "util/thread_pool.h"
@@ -26,7 +27,7 @@ using graph::WebGraph;
 class GraphIoTest : public ::testing::Test {
  protected:
   std::string TempPath(const std::string& name) {
-    return testing::TempDir() + "/" + name;
+    return testutil::TestTempPath(name);
   }
 
   WebGraph SampleGraph() {
@@ -357,6 +358,41 @@ TEST_F(GraphIoCorruptionTest, TrailingGarbageRejected) {
   bytes += "extra";
   WriteBytes(path, bytes);
   EXPECT_FALSE(graph::ReadBinary(path).ok());
+}
+
+TEST_F(GraphIoCorruptionTest, FormatV21RejectedWithReconvertHint) {
+  // Format 2.1 marked its (since removed) compressed in-adjacency section
+  // with header flag bit 1 and minor version 1. Either mark alone is
+  // enough to reject the file before any payload is read. The header is
+  // hand-written: magic, version 2, flags, minor, node and edge counts,
+  // then padding standing in for the payload.
+  struct Mark {
+    uint32_t flags;
+    uint32_t minor;
+  };
+  for (const Mark mark : {Mark{2, 1}, Mark{2, 0}, Mark{0, 1}, Mark{3, 1}}) {
+    std::string bytes = "SMWG";
+    const uint32_t version = 2;
+    const uint64_t nodes = 5, edges = 4;
+    bytes.append(reinterpret_cast<const char*>(&version), sizeof(version));
+    bytes.append(reinterpret_cast<const char*>(&mark.flags),
+                 sizeof(mark.flags));
+    bytes.append(reinterpret_cast<const char*>(&mark.minor),
+                 sizeof(mark.minor));
+    bytes.append(reinterpret_cast<const char*>(&nodes), sizeof(nodes));
+    bytes.append(reinterpret_cast<const char*>(&edges), sizeof(edges));
+    bytes.append(256, '\0');
+    const std::string path = TempPath("v21.bin");
+    WriteBytes(path, bytes);
+    auto r = graph::ReadBinary(path);
+    ASSERT_FALSE(r.ok()) << "flags " << mark.flags << " minor " << mark.minor;
+    EXPECT_EQ(r.status().code(), util::StatusCode::kInvalidArgument);
+    const std::string& message = r.status().message();
+    EXPECT_NE(message.find(path), std::string::npos) << message;
+    EXPECT_NE(message.find("re-convert from the edge list"),
+              std::string::npos)
+        << message;
+  }
 }
 
 TEST_F(GraphIoTest, HostNamesMustCoverAllNodes) {

@@ -21,6 +21,7 @@
 #include "graph/graph_io.h"
 #include "graph/web_graph.h"
 #include "pagerank/solver.h"
+#include "temp_dir_test_util.h"
 #include "util/checksum.h"
 #include "util/random.h"
 #include "util/status.h"
@@ -43,7 +44,7 @@ constexpr uint64_t kSectionEntryBytes = 40;
 class GraphMmapTest : public ::testing::Test {
  protected:
   std::string TempPath(const std::string& name) {
-    return testing::TempDir() + "/" + name;
+    return testutil::TestTempPath(name);
   }
 
   /// A graph big enough that every section exists and dangling nodes are

@@ -20,6 +20,7 @@
 #include "graph/graph_builder.h"
 #include "graph/graph_io.h"
 #include "graph/web_graph.h"
+#include "temp_dir_test_util.h"
 #include "util/mmap_file.h"
 #include "util/random.h"
 
@@ -31,7 +32,7 @@ using graph::NodeId;
 using graph::WebGraph;
 
 std::string TempPath(const std::string& name) {
-  return testing::TempDir() + "/" + name;
+  return testutil::TestTempPath(name);
 }
 
 /// Writes a file of `bytes` incompressible-ish bytes and returns its path.

@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "json_test_util.h"
+#include "temp_dir_test_util.h"
 #include "util/thread_pool.h"
 
 namespace spammass::obs {
@@ -158,7 +159,7 @@ TEST(ObsTraceTest, WriteTraceFileCreatesParentDirectories) {
   { SPAMMASS_TRACE_SPAN("test.file"); }
   StopTracing();
   const std::string path =
-      testing::TempDir() + "/obs_trace_test/nested/trace.json";
+      testutil::TestTempPath("nested/trace.json");
   ASSERT_TRUE(WriteTraceFile(path).ok());
   std::FILE* f = std::fopen(path.c_str(), "rb");
   ASSERT_NE(f, nullptr);

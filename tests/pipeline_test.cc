@@ -18,13 +18,14 @@
 #include "pipeline/detector.h"
 #include "pipeline/graph_source.h"
 #include "synth/paper_graphs.h"
+#include "temp_dir_test_util.h"
 #include "util/logging.h"
 
 namespace spammass {
 namespace {
 
 std::string TempPath(const std::string& name) {
-  return testing::TempDir() + "/" + name;
+  return testutil::TestTempPath(name);
 }
 
 void WriteFile(const std::string& path, const std::string& content) {

@@ -1,7 +1,7 @@
 // End-to-end variant equivalence: the Figure-4-style detection outcome —
 // who is flagged, which candidates surface, their ordering — must be
-// identical across every sweep variant (SIMD, mixed precision, compressed
-// gather) and every vertex reordering, because those are storage/traversal
+// identical across every sweep variant (SIMD, mixed precision) and every
+// vertex reordering, because those are storage/traversal
 // choices, not model changes. Also the permutation-invariance property
 // test: spam mass, relative mass and verdicts are invariant under random,
 // degree and BFS node permutations for Jacobi and Gauss-Seidel at 1 and 4
@@ -115,23 +115,18 @@ TEST(PipelineVariantEquivalenceTest, SweepVariantsPreserveDetection) {
     const char* label;
     SimdPolicy simd;
     SweepPrecision precision;
-    bool compressed;
   };
   std::vector<Case> cases = {
-      {"compressed", SimdPolicy::kScalar, SweepPrecision::kFloat64, true},
-      {"mixed_f32", SimdPolicy::kScalar, SweepPrecision::kMixedF32, false},
+      {"mixed_f32", SimdPolicy::kScalar, SweepPrecision::kMixedF32},
   };
   if (simd::Best() != simd::Level::kScalar) {
-    cases.push_back(
-        {"simd", SimdPolicy::kAuto, SweepPrecision::kFloat64, false});
-    cases.push_back({"simd_f32_compressed", SimdPolicy::kAuto,
-                     SweepPrecision::kMixedF32, true});
+    cases.push_back({"simd", SimdPolicy::kAuto, SweepPrecision::kFloat64});
+    cases.push_back({"simd_f32", SimdPolicy::kAuto, SweepPrecision::kMixedF32});
   }
   for (const Case& c : cases) {
     pipeline::PipelineConfig config = BaseConfig();
     config.solver.simd = c.simd;
     config.solver.precision = c.precision;
-    config.solver.compressed_gather = c.compressed;
     auto run = RunScenario(config);
     ASSERT_TRUE(run.ok()) << c.label << ": " << run.status().ToString();
     ExpectSameVerdicts(baseline.value(), run.value(), c.label);
@@ -171,7 +166,6 @@ TEST(PipelineVariantEquivalenceTest, ReorderingWithVariantsCombined) {
 
   pipeline::PipelineConfig config = BaseConfig();
   config.reorder = ReorderKind::kDegreeDesc;
-  config.solver.compressed_gather = true;
   if (simd::Best() != simd::Level::kScalar) {
     config.solver.simd = SimdPolicy::kAuto;
   }
@@ -182,38 +176,17 @@ TEST(PipelineVariantEquivalenceTest, ReorderingWithVariantsCombined) {
   ExpectSameVerdicts(baseline.value(), run.value(), "combined");
 }
 
-TEST(PipelineVariantEquivalenceTest, TrustRankRunsUnderCompressedGather) {
-  // Regression: TrustRank's seed selection solves inverse PageRank on a
-  // throwaway transposed graph, which has no compressed in-adjacency; the
-  // seed solve must drop compressed_gather rather than fail the whole run.
-  // Scalar f64 compressed gather reads the identical sources in the
-  // identical order, so the full run stays bit-identical to plain.
-  pipeline::GraphSource source = pipeline::GraphSource::Scenario(0.03, 17);
-  auto plain = pipeline::RunDetectors(source, BaseConfig(),
-                                      {"spam_mass", "trustrank"});
-  ASSERT_TRUE(plain.ok()) << plain.status().ToString();
-
-  pipeline::PipelineConfig config = BaseConfig();
-  config.solver.compressed_gather = true;
-  auto compressed =
-      pipeline::RunDetectors(source, config, {"spam_mass", "trustrank"});
-  ASSERT_TRUE(compressed.ok()) << compressed.status().ToString();
-  ExpectSameVerdicts(plain.value(), compressed.value(), "trustrank");
-}
-
 TEST(PipelineVariantEquivalenceTest, ManifestEchoesVariantConfig) {
   pipeline::PipelineConfig config = BaseConfig();
   config.solver.simd = SimdPolicy::kAuto;
   config.solver.precision = SweepPrecision::kMixedF32;
-  config.solver.compressed_gather = true;
   config.reorder = ReorderKind::kBfs;
   auto run = RunScenario(config);
   ASSERT_TRUE(run.ok()) << run.status().ToString();
   const std::string& json = run.value().manifest_json;
   for (const char* needle :
        {"\"simd\":\"auto\"", "\"precision\":\"mixed-f32\"",
-        "\"compressed_gather\":true", "\"reorder\":\"bfs\"",
-        "\"name\":\"reorder\""}) {
+        "\"reorder\":\"bfs\"", "\"name\":\"reorder\""}) {
     EXPECT_NE(json.find(needle), std::string::npos)
         << "manifest missing " << needle << "\n" << json;
   }

@@ -9,6 +9,8 @@
 #include <fstream>
 #include <string>
 
+#include "temp_dir_test_util.h"
+
 namespace spammass::util {
 namespace {
 
@@ -19,28 +21,27 @@ std::string ReadAll(const std::string& path) {
 }
 
 TEST(UtilFileUtilTest, WriteTextFileCreatesMissingParents) {
-  const std::string path =
-      testing::TempDir() + "/file_util_test/a/b/c/out.txt";
+  const std::string path = testutil::TestTempPath("a/b/c/out.txt");
   ASSERT_TRUE(WriteTextFile(path, "hello\n").ok());
   EXPECT_EQ(ReadAll(path), "hello\n");
 }
 
 TEST(UtilFileUtilTest, WriteTextFileOverwrites) {
-  const std::string path = testing::TempDir() + "/file_util_test/over.txt";
+  const std::string path = testutil::TestTempPath("over.txt");
   ASSERT_TRUE(WriteTextFile(path, "first").ok());
   ASSERT_TRUE(WriteTextFile(path, "second").ok());
   EXPECT_EQ(ReadAll(path), "second");
 }
 
 TEST(UtilFileUtilTest, WriteTextFileHandlesEmptyContent) {
-  const std::string path = testing::TempDir() + "/file_util_test/empty.txt";
+  const std::string path = testutil::TestTempPath("empty.txt");
   ASSERT_TRUE(WriteTextFile(path, "").ok());
   EXPECT_EQ(ReadAll(path), "");
 }
 
 TEST(UtilFileUtilTest, WriteTextFileErrorNamesThePath) {
   // A regular file used as a directory component makes the write fail.
-  const std::string blocker = testing::TempDir() + "/file_util_blocker";
+  const std::string blocker = testutil::TestTempPath("blocker");
   ASSERT_TRUE(WriteTextFile(blocker, "not a directory").ok());
   const std::string path = blocker + "/nested/out.txt";
   const Status status = WriteTextFile(path, "x");
@@ -50,7 +51,7 @@ TEST(UtilFileUtilTest, WriteTextFileErrorNamesThePath) {
 }
 
 TEST(UtilFileUtilTest, CreateDirectoriesIsIdempotent) {
-  const std::string dir = testing::TempDir() + "/file_util_test/idem/x/y";
+  const std::string dir = testutil::TestTempPath("idem/x/y");
   ASSERT_TRUE(CreateDirectories(dir).ok());
   EXPECT_TRUE(CreateDirectories(dir).ok());
 }

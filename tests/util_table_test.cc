@@ -6,6 +6,8 @@
 
 #include <fstream>
 
+#include "temp_dir_test_util.h"
+
 namespace spammass {
 namespace {
 
@@ -56,7 +58,7 @@ TEST(TextTableTest, CsvWriteToFile) {
   TextTable t;
   t.SetHeader({"x"});
   t.AddRowValues(42);
-  std::string path = testing::TempDir() + "/table.csv";
+  std::string path = testutil::TestTempPath("table.csv");
   ASSERT_TRUE(t.WriteCsv(path).ok());
   std::ifstream f(path);
   std::string line;

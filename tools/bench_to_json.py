@@ -20,15 +20,15 @@ Suite `solver` (bench_solver_perf + bench_multi_solve):
         BM_IndependentSolves/<k> / BM_FusedMultiSolve/<k>
   * simd_multi_rhs_speedup_k4 (bench_sweep_variants, power-law web):
         BM_SweepScalarF64Plain / BM_SweepSimdF64Plain
-  * compressed_gather_speedup_k4 / mixed_precision_speedup_k4 /
-    full_variant_speedup_k4: the scalar/f64/plain sweep over the
-    compressed, mixed-f32, and simd+f32+compressed variants
+  * mixed_precision_speedup_k4 / full_variant_speedup_k4: the scalar/f64
+    sweep over the mixed-f32 and simd+f32 variants
   * reorder_degree_sweep_speedup / reorder_bfs_sweep_speedup:
         crawl-order sweep over the locality-reordered sweep
-    plus `bytes_per_edge`: the modelled traffic counters of the plain
-    f64 sweep vs. the f32+compressed sweep and the relative reduction.
+    plus `bytes_per_edge`: the modelled traffic counters of the f64
+    sweep vs. the f32 sweep and the relative reduction.
 
-Suite `graph` (bench_graph_ops, 100k-node ingest fixtures):
+Suite `graph` (bench_graph_ops, 100k-node ingest fixtures; the mmap
+ratios use a 300k-node power-law web, ~50 MB CSR):
 
   * graph_build_parallel_speedup_T<k>:
         BM_CsrBuildSerial / BM_CsrBuildParallel/<k>
@@ -36,6 +36,14 @@ Suite `graph` (bench_graph_ops, 100k-node ingest fixtures):
         BM_TransposeSerial / BM_TransposeParallel/<k>
   * binary_load_v2_speedup:
         BM_BinaryLoadV1 / BM_BinaryLoadV2
+  * mmap_load_speedup (target ≥10×):
+        BM_PagedLoadHeap / BM_PagedLoadMmap
+    (full-validation heap load of a v2.2 file over the zero-copy
+    sample-checksum mmap load of the same file)
+  * mmap_vs_v2_load_speedup:
+        BM_BinaryLoadV2Heap / BM_PagedLoadMmap
+    (the legacy v2 streaming load over the paged mmap load — the
+    end-to-end win of migrating a deployment to the paged container)
 
 Suite `pipeline` (bench_pipeline, shared synthetic web):
 
@@ -44,21 +52,6 @@ Suite `pipeline` (bench_pipeline, shared synthetic web):
     (the artifact cache sharing one base PageRank solve between spam mass
     and TrustRank, with every forward solve fused into one multi-RHS
     stream, vs. each detector preparing its own context)
-
-Suite `shard` (bench_shard, 300k-node power-law web, ~50 MB CSR):
-
-  * mmap_load_speedup (the PR 8 acceptance metric, target ≥10×):
-        BM_PagedLoadHeap / BM_PagedLoadMmap
-    (full-validation heap load of a v2.2 file over the zero-copy
-    sample-checksum mmap load of the same file)
-  * mmap_vs_v2_load_speedup:
-        BM_BinaryLoadV2Heap / BM_PagedLoadMmap
-    (the legacy v2 streaming load over the paged mmap load — the
-    end-to-end win of migrating a deployment to the paged container)
-  * shard_sweep_speedup_S<k>:
-        BM_ShardedSweep/1 / BM_ShardedSweep/<k>
-    (unsharded multi-RHS Jacobi over the k-shard run, 4 threads; bit-
-    identical results by construction, so this is pure locality effect)
 
 Suite `obs` (bench_obs, 100k-node random web): ratios here are overhead
 factors (instrumented time / hooks-off baseline time), not speedups —
@@ -80,7 +73,7 @@ warning rather than a hard gate — machine variance makes gates flaky).
 
 Usage:
     tools/bench_to_json.py --bench-dir build/bench --out BENCH_solver.json \
-        [--suite solver|graph] [--min-time 0.1] [--baseline BENCH_solver.json]
+        [--suite solver|graph|pipeline|obs] [--min-time 0.1] [--baseline BENCH_solver.json]
 
 Build-type guard: every bench binary stamps `spammass_build_type`
 (release/debug, from its own NDEBUG) into the report context via
@@ -123,12 +116,10 @@ SOLVER_RATIO_PAIRS = [
      "BM_FusedMultiSolve/8"),
     ("simd_multi_rhs_speedup_k4", "BM_SweepScalarF64Plain",
      "BM_SweepSimdF64Plain"),
-    ("compressed_gather_speedup_k4", "BM_SweepScalarF64Plain",
-     "BM_SweepScalarF64Compressed"),
     ("mixed_precision_speedup_k4", "BM_SweepScalarF64Plain",
      "BM_SweepScalarF32Plain"),
     ("full_variant_speedup_k4", "BM_SweepScalarF64Plain",
-     "BM_SweepSimdF32Compressed"),
+     "BM_SweepSimdF32Plain"),
     ("reorder_degree_sweep_speedup", "BM_SweepScalarF64Plain",
      "BM_SweepReorderedDegree"),
     ("reorder_bfs_sweep_speedup", "BM_SweepScalarF64Plain",
@@ -149,19 +140,13 @@ GRAPH_RATIO_PAIRS = [
     ("graph_transpose_parallel_speedup_T8", "BM_TransposeSerial",
      "BM_TransposeParallel/8"),
     ("binary_load_v2_speedup", "BM_BinaryLoadV1", "BM_BinaryLoadV2"),
+    ("mmap_load_speedup", "BM_PagedLoadHeap", "BM_PagedLoadMmap"),
+    ("mmap_vs_v2_load_speedup", "BM_BinaryLoadV2Heap", "BM_PagedLoadMmap"),
 ]
 
 PIPELINE_RATIO_PAIRS = [
     ("pipeline_two_detector_cache_speedup", "BM_TwoDetectorsIndependentRuns",
      "BM_TwoDetectorsSharedContext"),
-]
-
-SHARD_RATIO_PAIRS = [
-    ("mmap_load_speedup", "BM_PagedLoadHeap", "BM_PagedLoadMmap"),
-    ("mmap_vs_v2_load_speedup", "BM_BinaryLoadV2Heap", "BM_PagedLoadMmap"),
-    ("shard_sweep_speedup_S2", "BM_ShardedSweep/1", "BM_ShardedSweep/2"),
-    ("shard_sweep_speedup_S4", "BM_ShardedSweep/1", "BM_ShardedSweep/4"),
-    ("shard_sweep_speedup_S8", "BM_ShardedSweep/1", "BM_ShardedSweep/8"),
 ]
 
 # Overhead factors: instrumented entry over the hooks-off baseline. The
@@ -212,10 +197,6 @@ SUITES = {
     "obs": {
         "binaries": ["bench_obs"],
         "ratios": OBS_RATIO_PAIRS,
-    },
-    "shard": {
-        "binaries": ["bench_shard"],
-        "ratios": SHARD_RATIO_PAIRS,
     },
 }
 
@@ -291,14 +272,14 @@ def bytes_per_edge_summary(merged):
     for entry in merged["benchmarks"]:
         if "bytes_per_edge" in entry:
             counters[entry["name"]] = entry["bytes_per_edge"]
-    plain = counters.get("BM_SweepScalarF64Plain")
-    packed = counters.get("BM_SweepScalarF32Compressed")
-    if not plain or packed is None:
+    f64 = counters.get("BM_SweepScalarF64Plain")
+    f32 = counters.get("BM_SweepScalarF32Plain")
+    if not f64 or f32 is None:
         return None
     return {
-        "plain_f64": plain,
-        "compressed_f32": packed,
-        "reduction": 1.0 - packed / plain,
+        "plain_f64": f64,
+        "plain_f32": f32,
+        "reduction": 1.0 - f32 / f64,
     }
 
 

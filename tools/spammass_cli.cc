@@ -205,18 +205,10 @@ void DefineSolverFlags(util::FlagParser* flags) {
                     "convergence[].residual_curve; plot with "
                     "tools/plot_convergence.py)");
   flags->Define("simd", pagerank::SimdPolicyToString(preset.simd),
-                "sweep instruction set: scalar | auto | avx2 | neon "
+                "sweep instruction set: scalar | auto | avx2 "
                 "(Jacobi/power only; forcing an unsupported level fails)");
   flags->Define("precision", pagerank::SweepPrecisionToString(preset.precision),
                 "sweep lane precision: f64 | mixed-f32 (Jacobi only)");
-  flags->DefineBool("compressed-gather",
-                    "gather in-edges from the delta+varint compressed "
-                    "adjacency (built on load; Jacobi/power only)");
-  flags->Define("shards", "1",
-                "host-range shard count for the Jacobi sweep: each shard "
-                "sweeps its own compact working set, exchanging boundary "
-                "rank between sweeps; scores stay bit-identical to "
-                "--shards=1 (Jacobi + scalar f64 only)");
 }
 
 util::Result<pagerank::SolverOptions> SolverFromFlags(
@@ -237,8 +229,6 @@ util::Result<pagerank::SolverOptions> SolverFromFlags(
       pagerank::SweepPrecisionFromString(flags.GetString("precision"));
   if (!precision.ok()) return precision.status();
   solver.precision = precision.value();
-  solver.compressed_gather = flags.GetBool("compressed-gather");
-  solver.shards = static_cast<uint32_t>(flags.GetInt("shards"));
   return solver;
 }
 

@@ -489,9 +489,9 @@ def check_simd_fallback(root, files, linter):
     if "ScalarSweepRange" not in content:
         linter.report(shim, 1, "simd-isolation",
                       "dispatch shim no longer references the portable "
-                      "ScalarSweepRange fallback; every (level, k, "
-                      "encoding) combination must resolve to a valid sweep "
-                      "on hosts without vector support")
+                      "ScalarSweepRange fallback; every (level, k) "
+                      "combination must resolve to a valid sweep on hosts "
+                      "without vector support")
 
 
 def collect_files(root):
