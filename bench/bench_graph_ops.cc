@@ -1,13 +1,12 @@
 // Micro-benchmarks of the graph substrate: CSR construction (serial and
-// ThreadPool-parallel), transpose, binary load (v1 per-record vs v2
-// bulk-array, and the v2.2 zero-copy mmap load against the heap loaders),
-// BFS, statistics, and synthetic-web generation throughput.
+// ThreadPool-parallel), transpose, binary load (the v2.2 zero-copy mmap
+// load against the full-validation heap load), BFS, statistics, and
+// synthetic-web generation throughput.
 
 #include <benchmark/benchmark.h>
 
 #include "bench_json_main.h"
 
-#include <cstdio>
 #include <cstdlib>
 #include <string>
 
@@ -25,8 +24,7 @@ namespace spammass {
 namespace {
 
 // The ingest benchmarks run on a ~100k-node, ~800k-edge random web — the
-// scale the PR's acceptance numbers (build/transpose speedup at 4 threads,
-// v2-vs-v1 load) are quoted at.
+// scale the build/transpose speedups at 4 threads are quoted at.
 constexpr uint32_t kIngestNodes = 100000;
 constexpr double kIngestMeanDegree = 8.0;
 
@@ -152,45 +150,10 @@ BENCHMARK(BM_TransposeParallel)
     ->Arg(8)
     ->Unit(benchmark::kMillisecond);
 
-// -- Binary format: v1 per-record load vs v2 bulk-array load -----------------
-
-void BM_BinaryLoadV1(benchmark::State& state) {
-  std::string path = BenchTempPath("spammass_bench_graph_v1.bin");
-  CHECK_OK(graph::WriteBinaryV1(IngestGraph(), path));
-  for (auto _ : state) {
-    auto g = graph::ReadBinary(path);
-    CHECK_OK(g.status());
-    benchmark::DoNotOptimize(g.value().num_edges());
-  }
-  std::remove(path.c_str());
-}
-BENCHMARK(BM_BinaryLoadV1)->Unit(benchmark::kMillisecond);
-
-void BM_BinaryLoadV2(benchmark::State& state) {
-  std::string path = BenchTempPath("spammass_bench_graph_v2.bin");
-  CHECK_OK(graph::WriteBinary(IngestGraph(), path));
-  for (auto _ : state) {
-    auto g = graph::ReadBinary(path);
-    CHECK_OK(g.status());
-    benchmark::DoNotOptimize(g.value().num_edges());
-  }
-  std::remove(path.c_str());
-}
-BENCHMARK(BM_BinaryLoadV2)->Unit(benchmark::kMillisecond);
-
-void BM_BinaryWriteV2(benchmark::State& state) {
-  std::string path = BenchTempPath("spammass_bench_graph_w.bin");
-  for (auto _ : state) {
-    CHECK_OK(graph::WriteBinary(IngestGraph(), path));
-  }
-  std::remove(path.c_str());
-}
-BENCHMARK(BM_BinaryWriteV2)->Unit(benchmark::kMillisecond);
-
-// -- Paged v2.2 load: heap readers vs the zero-copy mmap loader -------------
+// -- Paged v2.2 load: heap reader vs the zero-copy mmap loader --------------
 // A power-law web (hub-heavy sources, uniform targets, a long near-dangling
 // tail) whose CSR is ~50 MB in both directions, so the full-validation heap
-// load is measurable next to the O(1) mapped load. Each file is written
+// load is measurable next to the O(1) mapped load. The file is written
 // once, outside every timed region.
 
 graph::WebGraph PowerLawGraph() {
@@ -208,33 +171,17 @@ graph::WebGraph PowerLawGraph() {
   return b.Build();
 }
 
-const std::string& PagedBenchFile(bool paged) {
-  static const graph::WebGraph* g = new graph::WebGraph(PowerLawGraph());
-  static const std::string* v2 = [] {
-    auto* p = new std::string(BenchTempPath("spammass_bench_load_v2.smwg"));
-    CHECK_OK(graph::WriteBinary(*g, *p));
-    return p;
-  }();
-  static const std::string* v22 = [] {
+const std::string& PagedBenchFile() {
+  static const std::string* path = [] {
     auto* p = new std::string(BenchTempPath("spammass_bench_load_v22.smwg"));
-    CHECK_OK(graph::WriteBinaryV22(*g, *p));
+    CHECK_OK(graph::WriteBinaryV22(PowerLawGraph(), *p));
     return p;
   }();
-  return paged ? *v22 : *v2;
+  return *path;
 }
-
-void BM_BinaryLoadV2Heap(benchmark::State& state) {
-  const std::string& path = PagedBenchFile(/*paged=*/false);
-  for (auto _ : state) {
-    auto g = graph::ReadBinary(path);
-    CHECK_OK(g.status());
-    benchmark::DoNotOptimize(g.value());
-  }
-}
-BENCHMARK(BM_BinaryLoadV2Heap)->Unit(benchmark::kMillisecond);
 
 void BM_PagedLoadHeap(benchmark::State& state) {
-  const std::string& path = PagedBenchFile(/*paged=*/true);
+  const std::string& path = PagedBenchFile();
   for (auto _ : state) {
     auto g = graph::ReadBinary(path);
     CHECK_OK(g.status());
@@ -244,7 +191,7 @@ void BM_PagedLoadHeap(benchmark::State& state) {
 BENCHMARK(BM_PagedLoadHeap)->Unit(benchmark::kMillisecond);
 
 void BM_PagedLoadMmap(benchmark::State& state) {
-  const std::string& path = PagedBenchFile(/*paged=*/true);
+  const std::string& path = PagedBenchFile();
   uint64_t mapped = 0;
   for (auto _ : state) {
     auto g = graph::ReadBinaryMmap(path);

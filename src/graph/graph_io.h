@@ -1,21 +1,16 @@
 // Graph (de)serialization. Two formats:
 //   * Text edge list — one "source target" pair per line, '#' comments,
 //     interoperable with common web-graph dumps (e.g. WebGraph/SNAP style).
-//   * Binary — little-endian container (magic "SMWG"). Version 2 dumps
-//     both CSR directions (forward offsets/targets, transposed
-//     offsets/sources, optional host-name blob) as a handful of bulk
-//     writes with a trailing interleaved-FNV checksum, and loads them back
-//     into WebGraph without re-materializing an edge-pair list, re-sorting,
-//     or rebuilding the transpose; see docs/graph_format.md for the byte
-//     layout. Format 2.1 files (a compressed in-adjacency section, since
-//     removed) are rejected with a request to re-convert.
-//     Format 2.2 (WriteBinaryV22) is the page-aligned *paged*
-//     layout: a section table in a 4 KiB header page, every array stored
-//     4 KiB-aligned with per-section checksums, so ReadBinaryMmap can back
-//     a WebGraph zero-copy by the mapped file and load in O(1) instead of
-//     O(n+m). Version 1 (per-row records, no checksum, no names) is still
-//     readable for migration.
-// Host names travel inside the v2 binary when present; the companion
+//   * Binary — the page-aligned SMWG container, format 2.2 (magic "SMWG"):
+//     a 4 KiB header page holding a checksummed section table, then both
+//     CSR directions, the derived solver arrays and the optional host-name
+//     blob, each 4 KiB-aligned with per-section checksums. ReadBinaryMmap
+//     backs a WebGraph zero-copy by the mapped file and loads in O(1);
+//     ReadBinary fully validates and copies onto the heap. It is the only
+//     binary format: format 1, 2.0 and 2.1 files are rejected with a
+//     request to re-convert from the edge list. See docs/graph_format.md
+//     for the byte layout.
+// Host names travel inside the binary when present; the companion
 // "<id>\t<host>" text map remains available for the text format.
 
 #ifndef SPAMMASS_GRAPH_GRAPH_IO_H_
@@ -43,17 +38,12 @@ util::Status WriteEdgeListText(const WebGraph& graph, const std::string& path);
 util::Result<WebGraph> ReadEdgeListText(const std::string& path,
                                         util::ThreadPool* pool = nullptr);
 
-/// Writes the current binary container (magic "SMWG", version 2): both CSR
-/// directions and, when the graph carries them, the host-name blob, ending
-/// in a whole-file checksum.
-util::Status WriteBinary(const WebGraph& graph, const std::string& path);
-
-/// Writes the page-aligned v2.2 container for mmap loading: a 4 KiB header
-/// page holding a checksummed section table, then every array — both CSR
-/// directions plus the derived solver arrays (inverse out-degrees,
-/// dangling list) and the optional host-name sections — at a 4 KiB-aligned
-/// offset with full and bounded-sample FNV checksums per section; see
-/// docs/graph_format.md for the layout and the v2.2 trust model.
+/// Writes the page-aligned v2.2 container: a 4 KiB header page holding a
+/// checksummed section table, then every array — both CSR directions plus
+/// the derived solver arrays (inverse out-degrees, dangling list) and the
+/// optional host-name sections — at a 4 KiB-aligned offset with full and
+/// bounded-sample FNV checksums per section; see docs/graph_format.md for
+/// the layout and the trust model.
 util::Status WriteBinaryV22(const WebGraph& graph, const std::string& path);
 
 /// Maps a v2.2 file and returns a WebGraph whose arrays are zero-copy
@@ -63,25 +53,15 @@ util::Status WriteBinaryV22(const WebGraph& graph, const std::string& path);
 /// each section's bounded head/tail sample checksum is verified, and the
 /// small dangling section is fully validated; debug builds additionally
 /// verify every full-section checksum and run the O(n+m) structural
-/// validators. Host names (when present) are copied to the heap. Fails
-/// with InvalidArgument on v1/v2.0 files — those load via ReadBinary.
+/// validators. Host names (when present) are copied to the heap.
 util::Result<WebGraph> ReadBinaryMmap(const std::string& path);
 
-/// Writes the legacy version-1 container (per-row degree + target records,
-/// no checksum, no host names). Kept only as a fixture for migration
-/// tests and the v1-vs-v2 load benchmarks; new code writes v2.
-util::Status WriteBinaryV1(const WebGraph& graph, const std::string& path);
-
-/// Reads a binary graph written by WriteBinary (v2), WriteBinaryV22, or
-/// WriteBinaryV1, always into heap-owned storage. Format 2.1 files fail
-/// with InvalidArgument naming the path. Version 2 payloads are
-/// checksum-verified and structurally validated (ValidateCsr on both
-/// directions), then adopted directly as the graph's CSR arrays; only the
-/// cheap derived solver arrays are rebuilt — in parallel when `pool` is
-/// non-null. v2.2 files take the same full-validation path (every section
-/// checksum verified, both CSR directions validated) with the arrays
-/// copied out of a temporary mapping — use ReadBinaryMmap for the
-/// zero-copy load.
+/// Reads a v2.2 file into heap-owned storage: every section checksum is
+/// verified and both CSR directions validated, then the arrays are copied
+/// out of a temporary mapping; only the cheap derived solver arrays are
+/// rebuilt — in parallel when `pool` is non-null. Both readers reject a
+/// file that is not format 2.2 with InvalidArgument naming the path;
+/// format 1, 2.0 and 2.1 files are told to re-convert from the edge list.
 util::Result<WebGraph> ReadBinary(const std::string& path,
                                   util::ThreadPool* pool = nullptr);
 

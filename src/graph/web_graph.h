@@ -71,11 +71,12 @@ class WebGraph {
 
   /// Adopts BOTH adjacency directions — the forward CSR and its transpose
   /// — and only derives the cheap solver-support arrays (inverse
-  /// out-degrees, dangling list). This is the zero-rebuild load path of
-  /// the v2 binary format: no edge scan, no counting sort. Both array
-  /// pairs must individually satisfy ValidateCsr and the in-arrays must be
-  /// the exact transpose of the out-arrays; debug builds CHECK the full
-  /// cross-consistency (ValidateGraph), release builds trust the caller.
+  /// out-degrees, dangling list). This is the heap load path of the
+  /// binary format (graph::ReadBinary): no edge scan, no counting sort.
+  /// Both array pairs must individually satisfy ValidateCsr and the
+  /// in-arrays must be the exact transpose of the out-arrays; debug builds
+  /// CHECK the full cross-consistency (ValidateGraph), release builds
+  /// trust the caller.
   static WebGraph FromCsrPair(NodeId num_nodes,
                               std::vector<uint64_t> out_offsets,
                               std::vector<NodeId> targets,

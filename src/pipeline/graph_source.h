@@ -3,9 +3,10 @@
 // file on disk, or an in-memory WebGraph) and Load() materializes it as a
 // LoadedGraph: graph plus whatever ground truth travels with it (labels,
 // good core, host names). On-disk files are format-sniffed by magic
-// ("SMWG" → binary container, printable text → edge list), so every entry
-// point — CLI subcommands, benches, examples — gets the zero-rebuild v2
-// binary loader without opting in.
+// ("SMWG" → the v2.2 binary container, printable text → edge list), so
+// every entry point — CLI subcommands, benches, examples — reads either
+// without opting in. Binary files load onto the heap with full validation
+// (graph::ReadBinary) unless WithMmap asks for the zero-copy mapping.
 
 #ifndef SPAMMASS_PIPELINE_GRAPH_SOURCE_H_
 #define SPAMMASS_PIPELINE_GRAPH_SOURCE_H_
@@ -84,8 +85,8 @@ class GraphSource {
   /// Attaches a good-core node-list file. Ignored for synthetic sources.
   GraphSource& WithCoreFile(std::string path);
 
-  /// Attaches a host-name map for text-format graphs (v2 binary files
-  /// embed names).
+  /// Attaches a host-name map for text-format graphs (binary files embed
+  /// names).
   GraphSource& WithHostNamesFile(std::string path);
 
   /// Uses an explicit in-memory good core (in-memory or file sources).

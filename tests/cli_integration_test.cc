@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -114,7 +115,7 @@ TEST_F(CliTest, RunSubcommandWritesManifestForTextAndBinary) {
 
   // Generate the same graph in both on-disk formats.
   ASSERT_EQ(Run("generate --scale 0.03 --seed 33 --out-edges " + d +
-                "/run.edges --out-binary " + d + "/run.smwg --out-labels " +
+                "/run.edges --out-paged " + d + "/run.smwg --out-labels " +
                 d + "/run.labels --out-core " + d + "/run.core"),
             0);
 
@@ -308,6 +309,54 @@ TEST_F(CliTest, UnknownCommandFails) {
 
 TEST_F(CliTest, UnknownFlagFails) {
   EXPECT_NE(Run("stats --bogus-flag 3"), 0);
+}
+
+TEST_F(CliTest, RemovedBinaryOptionsRejected) {
+  // v2.2 is the only binary container: the v2.0 writers' options are gone.
+  const std::string d = Dir();
+  ASSERT_EQ(Run("generate --scale 0.02 --seed 4 --out-edges " + d +
+                "/rm.edges"),
+            0);
+  EXPECT_NE(Run("convert --edges " + d + "/rm.edges --format binary --out " +
+                d + "/rm.smwg"),
+            0);
+  EXPECT_NE(ReadFile("stderr.txt").find("paged | text"), std::string::npos)
+      << ReadFile("stderr.txt");
+  // generate's former v2.0 output flag, spelled in two pieces so that a
+  // search for the deleted option finds only code that still uses it.
+  const std::string removed_flag = std::string("--out-") + "binary";
+  EXPECT_NE(Run("generate --scale 0.02 --out-edges " + d + "/rm2.edges " +
+                removed_flag + " " + d + "/x"),
+            0);
+  EXPECT_NE(ReadFile("stderr.txt").find("unknown flag"), std::string::npos)
+      << ReadFile("stderr.txt");
+}
+
+TEST_F(CliTest, RunRejectsLegacyBinaryWithReconvertHint) {
+  // A hand-written format 2.0 header (magic, version 2, flags 0, minor 0,
+  // node and edge counts) over two pages of filler: both loaders must
+  // name the path and the remedy rather than a checksum mismatch.
+  const std::string path = Dir() + "/v20.smwg";
+  {
+    std::ofstream f(path, std::ios::binary);
+    const uint32_t version_flags_minor[3] = {2, 0, 0};
+    const uint64_t counts[2] = {5, 4};
+    f.write("SMWG", 4);
+    f.write(reinterpret_cast<const char*>(version_flags_minor),
+            sizeof(version_flags_minor));
+    f.write(reinterpret_cast<const char*>(counts), sizeof(counts));
+    f << std::string(8192, 'Z');
+  }
+  for (const char* mmap : {"", " --mmap"}) {
+    EXPECT_NE(Run("run --graph " + path + mmap +
+                  " --detectors degree_outlier"),
+              0)
+        << mmap;
+    const std::string err = ReadFile("stderr.txt");
+    EXPECT_NE(err.find(path), std::string::npos) << err;
+    EXPECT_NE(err.find("re-convert from the edge list"), std::string::npos)
+        << err;
+  }
 }
 
 TEST_F(CliTest, HelpSucceeds) {
