@@ -1,17 +1,12 @@
-// Bandwidth-variant matrix for the multi-RHS sweep: every combination of
-// instruction set (scalar vs. the best vector backend) and lane precision
-// (f64 vs. mixed f32) at the k=4 lane count the two-solve mass
-// estimation plus TrustRank batch actually issues — on a power-law web
-// whose working set defeats the last-level cache, so the sweep is
-// memory-bound and byte savings translate to wall-clock. Also times the
-// locality reorderings (degree-descending, BFS) both as a preprocessing
-// cost and as a sweep-speed effect.
+// Instruction-set variants of the multi-RHS sweep: scalar vs. the best
+// vector backend at the k=4 lane count the two-solve mass estimation plus
+// TrustRank batch actually issues — on a power-law web whose working set
+// defeats the last-level cache, so the sweep is memory-bound.
 //
-// Every variant entry carries a `bytes_per_edge` counter: the traffic
-// model documented in docs/performance.md (4 successor-id bytes per edge
-// plus k lane reads at the storage width).
-// tools/bench_to_json.py pairs the entries into speedup ratios and a
-// bytes-per-edge reduction for BENCH_solver.json.
+// Every entry carries a `bytes_per_edge` counter: the traffic model
+// documented in docs/performance.md (4 successor-id bytes per edge plus k
+// float64 lane reads). tools/bench_to_json.py pairs the entries into a
+// speedup ratio for BENCH_solver.json.
 
 #include <benchmark/benchmark.h>
 
@@ -20,7 +15,6 @@
 
 #include "bench_json_main.h"
 #include "graph/graph_builder.h"
-#include "graph/reorder.h"
 #include "graph/web_graph.h"
 #include "pagerank/jump_vector.h"
 #include "pagerank/simd.h"
@@ -33,11 +27,9 @@ namespace spammass {
 namespace {
 
 using graph::NodeId;
-using graph::ReorderKind;
 using graph::WebGraph;
 using pagerank::JumpVector;
 using pagerank::SimdPolicy;
-using pagerank::SweepPrecision;
 namespace simd = pagerank::simd;
 
 constexpr uint32_t kLanes = 4;
@@ -86,27 +78,7 @@ const std::vector<JumpVector>& VariantJumps() {
   return *jumps;
 }
 
-pagerank::SolverOptions VariantOptions(SimdPolicy simd_policy,
-                                       SweepPrecision precision) {
-  pagerank::SolverOptions opt;
-  opt.method = pagerank::Method::kJacobi;
-  opt.tolerance = 1e-10;
-  opt.max_iterations = 500;
-  opt.simd = simd_policy;
-  opt.precision = precision;
-  return opt;
-}
-
-/// Modelled sweep traffic per edge (docs/performance.md): the successor
-/// id plus k lane-value reads at the storage width.
-double BytesPerEdge(SweepPrecision precision) {
-  const double lane_width =
-      precision == SweepPrecision::kMixedF32 ? sizeof(float) : sizeof(double);
-  return sizeof(NodeId) + static_cast<double>(kLanes) * lane_width;
-}
-
-void RunVariant(benchmark::State& state, SimdPolicy simd_policy,
-                SweepPrecision precision) {
+void RunVariant(benchmark::State& state, SimdPolicy simd_policy) {
   if (simd_policy == SimdPolicy::kAuto &&
       simd::Best() == simd::Level::kScalar) {
     state.SkipWithError("no vector backend on this host");
@@ -114,7 +86,11 @@ void RunVariant(benchmark::State& state, SimdPolicy simd_policy,
   }
   const WebGraph& g = VariantGraph();
   const auto& jumps = VariantJumps();
-  const auto opt = VariantOptions(simd_policy, precision);
+  pagerank::SolverOptions opt;
+  opt.method = pagerank::Method::kJacobi;
+  opt.tolerance = 1e-10;
+  opt.max_iterations = 500;
+  opt.simd = simd_policy;
   pagerank::SolverWorkspace ws;
   int sweeps = 0;
   for (auto _ : state) {
@@ -125,74 +101,21 @@ void RunVariant(benchmark::State& state, SimdPolicy simd_policy,
   }
   state.counters["sweeps"] = sweeps;
   state.counters["lanes"] = kLanes;
-  state.counters["bytes_per_edge"] = BytesPerEdge(precision);
+  // Modelled sweep traffic per edge (docs/performance.md): the successor
+  // id plus k float64 lane-value reads.
+  state.counters["bytes_per_edge"] =
+      sizeof(NodeId) + static_cast<double>(kLanes) * sizeof(double);
 }
 
 void BM_SweepScalarF64Plain(benchmark::State& state) {
-  RunVariant(state, SimdPolicy::kScalar, SweepPrecision::kFloat64);
+  RunVariant(state, SimdPolicy::kScalar);
 }
 BENCHMARK(BM_SweepScalarF64Plain)->Unit(benchmark::kMillisecond);
 
 void BM_SweepSimdF64Plain(benchmark::State& state) {
-  RunVariant(state, SimdPolicy::kAuto, SweepPrecision::kFloat64);
+  RunVariant(state, SimdPolicy::kAuto);
 }
 BENCHMARK(BM_SweepSimdF64Plain)->Unit(benchmark::kMillisecond);
-
-void BM_SweepScalarF32Plain(benchmark::State& state) {
-  RunVariant(state, SimdPolicy::kScalar, SweepPrecision::kMixedF32);
-}
-BENCHMARK(BM_SweepScalarF32Plain)->Unit(benchmark::kMillisecond);
-
-void BM_SweepSimdF32Plain(benchmark::State& state) {
-  RunVariant(state, SimdPolicy::kAuto, SweepPrecision::kMixedF32);
-}
-BENCHMARK(BM_SweepSimdF32Plain)->Unit(benchmark::kMillisecond);
-
-// ---- Locality reordering: preprocessing cost and sweep effect. ----
-
-void BM_ReorderCompute(benchmark::State& state) {
-  const WebGraph& g = VariantGraph();
-  const auto kind =
-      state.range(0) == 0 ? ReorderKind::kDegreeDesc : ReorderKind::kBfs;
-  for (auto _ : state) {
-    graph::Reordering r = graph::ComputeReordering(g, kind);
-    benchmark::DoNotOptimize(r);
-  }
-  state.SetLabel(graph::ReorderKindToString(kind));
-}
-BENCHMARK(BM_ReorderCompute)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
-
-void RunReorderedSweep(benchmark::State& state, ReorderKind kind) {
-  static WebGraph* degree_graph = nullptr;
-  static WebGraph* bfs_graph = nullptr;
-  WebGraph** slot =
-      kind == ReorderKind::kDegreeDesc ? &degree_graph : &bfs_graph;
-  if (*slot == nullptr) {
-    graph::Reordering r = graph::ComputeReordering(VariantGraph(), kind);
-    *slot = new WebGraph(graph::ApplyReordering(VariantGraph(), r));
-  }
-  const WebGraph& g = **slot;
-  const auto& jumps = VariantJumps();  // equivariant: timing only
-  const auto opt =
-      VariantOptions(SimdPolicy::kScalar, SweepPrecision::kFloat64);
-  pagerank::SolverWorkspace ws;
-  for (auto _ : state) {
-    auto r = pagerank::ComputePageRankMulti(g, jumps, opt, &ws);
-    CHECK_OK(r.status());
-    benchmark::DoNotOptimize(r.value());
-  }
-  state.SetLabel(graph::ReorderKindToString(kind));
-}
-
-void BM_SweepReorderedDegree(benchmark::State& state) {
-  RunReorderedSweep(state, ReorderKind::kDegreeDesc);
-}
-BENCHMARK(BM_SweepReorderedDegree)->Unit(benchmark::kMillisecond);
-
-void BM_SweepReorderedBfs(benchmark::State& state) {
-  RunReorderedSweep(state, ReorderKind::kBfs);
-}
-BENCHMARK(BM_SweepReorderedBfs)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace spammass

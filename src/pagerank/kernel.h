@@ -114,20 +114,11 @@ void DanglingSums(const graph::WebGraph& graph, uint32_t k, const double* p,
 /// ScaleByInvOutDegree(next) would produce — so iterative callers skip the
 /// separate full-pass rescale between sweeps (the solver seeds `scaled`
 /// once before the first sweep and double-buffers from then on).
-void WeightedJacobiSweepMulti(const graph::WebGraph& graph, uint32_t k,
-                              const double* v, double damping,
-                              const double* dangling, const double* p,
-                              const double* scaled, double* next,
-                              double* next_scaled,
-                              std::vector<double>* partials, double* diffs,
-                              util::ThreadPool* pool);
-
-/// Level-selecting overload: `level` picks the instruction set (simd.h).
-/// kScalar routes through the exact code path of the overload above
-/// (bit-identical results) and is the reference every other level is
-/// validated against by pagerank_sweep_variant_test.cc; vectorized levels
-/// preserve each lane's accumulation order but may differ from the
-/// reference by FMA contraction (see simd.h).
+///
+/// `level` picks the instruction set (simd.h). kScalar runs the bit-exact
+/// reference body; vectorized levels preserve each lane's accumulation
+/// order but may differ from it by FMA contraction (validated by
+/// pagerank_sweep_variant_test.cc).
 void WeightedJacobiSweepMulti(const graph::WebGraph& graph, uint32_t k,
                               const double* v, double damping,
                               const double* dangling, const double* p,
@@ -135,40 +126,6 @@ void WeightedJacobiSweepMulti(const graph::WebGraph& graph, uint32_t k,
                               double* next_scaled,
                               std::vector<double>* partials, double* diffs,
                               simd::Level level, util::ThreadPool* pool);
-
-/// Narrows the graph's cached inverse out-degrees to float32 scratch for
-/// the f32 sweep family (resizes `out` to num_nodes()).
-void InvOutDegreesF32(const graph::WebGraph& graph, std::vector<float>* out);
-
-/// float32 twin of ScaleByInvOutDegree over explicit arrays: scaled[x·k+j]
-/// = p[x·k+j] · inv[x] for `num_nodes` nodes. `inv` is the
-/// InvOutDegreesF32 output.
-void ScaleByInvOutDegreeF32(uint32_t num_nodes, uint32_t k, const float* inv,
-                            const float* p, float* scaled,
-                            util::ThreadPool* pool);
-
-/// float32 twin of DanglingSums: sums[j] = Σ_{x dangling} p[x·k+j], each
-/// term widened to double before accumulating, so the sums (and the jump
-/// multipliers derived from them) are full-precision measurements of the
-/// float iterate. Deterministic chunked reduction, same policy as the f64
-/// path.
-void DanglingSumsF32(const graph::WebGraph& graph, uint32_t k, const float* p,
-                     std::vector<double>* partials, double* sums,
-                     util::ThreadPool* pool);
-
-/// float32 twin of the level-selecting WeightedJacobiSweepMulti. Lane
-/// storage (`v`, `p`, `scaled`, `next`, `next_scaled`) is float32 — half
-/// the sweep's memory traffic — while `dangling` carries the f64
-/// DanglingSumsF32 measurements and every L1 difference accumulates in
-/// double (diffs[j] is a float64 residual of the float32 iterate). `inv`
-/// is the InvOutDegreesF32 output.
-void WeightedJacobiSweepMultiF32(const graph::WebGraph& graph, uint32_t k,
-                                 const float* v, double damping,
-                                 const double* dangling, const float* inv,
-                                 const float* p, const float* scaled,
-                                 float* next, float* next_scaled,
-                                 std::vector<double>* partials, double* diffs,
-                                 simd::Level level, util::ThreadPool* pool);
 
 }  // namespace spammass::pagerank::kernel
 

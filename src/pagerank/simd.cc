@@ -10,8 +10,7 @@ namespace spammass::pagerank::simd {
 // returns nullptr for widths it does not vectorize; this TU then falls
 // back to ScalarSweepRange.
 #if defined(__x86_64__) || defined(_M_X64)
-SweepRangeFn<double> PickAvx2SweepF64(uint32_t k);
-SweepRangeFn<float> PickAvx2SweepF32(uint32_t k);
+SweepRangeFn PickAvx2SweepF64(uint32_t k);
 bool Avx2HostSupported();
 #endif
 
@@ -45,47 +44,36 @@ Level Best() {
 
 namespace {
 
-/// Scalar instantiation table: the same compile-time widths the fused
-/// kernel specializes (1/2/4/8/16), with the runtime-k body covering
+/// Scalar instantiation table: compile-time widths for the batch sizes
+/// the solver produces (1/2/4/8/16), with the runtime-k body covering
 /// compacted in-between widths.
-template <typename Real>
-SweepRangeFn<Real> PickScalarSweep(uint32_t k) {
+SweepRangeFn PickScalarSweep(uint32_t k) {
   switch (k) {
     case 1:
-      return ScalarSweepRange<Real, 1>;
+      return ScalarSweepRange<1>;
     case 2:
-      return ScalarSweepRange<Real, 2>;
+      return ScalarSweepRange<2>;
     case 4:
-      return ScalarSweepRange<Real, 4>;
+      return ScalarSweepRange<4>;
     case 8:
-      return ScalarSweepRange<Real, 8>;
+      return ScalarSweepRange<8>;
     case 16:
-      return ScalarSweepRange<Real, 16>;
+      return ScalarSweepRange<16>;
     default:
-      return ScalarSweepRange<Real, 0>;
+      return ScalarSweepRange<0>;
   }
 }
 
 }  // namespace
 
-SweepRangeFn<double> PickSweepF64(Level level, uint32_t k) {
+SweepRangeFn PickSweepF64(Level level, uint32_t k) {
 #if defined(__x86_64__) || defined(_M_X64)
   if (level == Level::kAvx2 && Avx2HostSupported()) {
-    if (SweepRangeFn<double> fn = PickAvx2SweepF64(k)) return fn;
+    if (SweepRangeFn fn = PickAvx2SweepF64(k)) return fn;
   }
 #endif
   (void)level;
-  return PickScalarSweep<double>(k);
-}
-
-SweepRangeFn<float> PickSweepF32(Level level, uint32_t k) {
-#if defined(__x86_64__) || defined(_M_X64)
-  if (level == Level::kAvx2 && Avx2HostSupported()) {
-    if (SweepRangeFn<float> fn = PickAvx2SweepF32(k)) return fn;
-  }
-#endif
-  (void)level;
-  return PickScalarSweep<float>(k);
+  return PickScalarSweep(k);
 }
 
 }  // namespace spammass::pagerank::simd

@@ -1,6 +1,6 @@
 // Runtime-dispatched SIMD backend for the multi-RHS sweep. The kernel
 // (kernel.cc) asks this shim for a sweep-range implementation matching the
-// resolved (instruction set, precision, lane count); the shim returns a
+// resolved (instruction set, lane count); the shim returns a
 // hand-vectorized AVX2 routine when the host supports it and the width has
 // one, otherwise the portable scalar body from simd_sweep_body.h. Other
 // architectures (AArch64 included) always run the scalar body. Dispatch
@@ -38,12 +38,11 @@ bool IsSupported(Level level);
 /// backend applies.
 Level Best();
 
-/// Returns the sweep-range routine for (level, lane count k) at the given
-/// precision. Unsupported or unvectorized combinations fall back to the
-/// scalar body — the returned function is always valid for k in
-/// [1, kMaxSweepLanes].
-SweepRangeFn<double> PickSweepF64(Level level, uint32_t k);
-SweepRangeFn<float> PickSweepF32(Level level, uint32_t k);
+/// Returns the float64 sweep-range routine for (level, lane count k).
+/// kScalar always yields the scalar reference body; unsupported or
+/// unvectorized combinations fall back to it too — the returned function
+/// is always valid for k in [1, kMaxSweepLanes].
+SweepRangeFn PickSweepF64(Level level, uint32_t k);
 
 }  // namespace spammass::pagerank::simd
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
-#include <limits>
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -74,23 +73,6 @@ Result<SimdPolicy> SimdPolicyFromString(std::string_view name) {
   if (name == "auto") return SimdPolicy::kAuto;
   if (name == "avx2") return SimdPolicy::kAvx2;
   return Status::InvalidArgument("unknown simd policy: " + std::string(name));
-}
-
-const char* SweepPrecisionToString(SweepPrecision precision) {
-  switch (precision) {
-    case SweepPrecision::kFloat64:
-      return "f64";
-    case SweepPrecision::kMixedF32:
-      return "mixed-f32";
-  }
-  return "unknown";
-}
-
-Result<SweepPrecision> SweepPrecisionFromString(std::string_view name) {
-  if (name == "f64") return SweepPrecision::kFloat64;
-  if (name == "mixed-f32") return SweepPrecision::kMixedF32;
-  return Status::InvalidArgument("unknown sweep precision: " +
-                                 std::string(name));
 }
 
 std::vector<double> ScaledScores(const std::vector<double>& scores,
@@ -182,91 +164,6 @@ void CompactLanes(std::vector<double>* flat, uint64_t n, uint32_t k,
   }
 }
 
-/// Mixed-precision pre-phase (SweepPrecision::kMixedF32): runs float32
-/// sweeps — half the lane memory traffic — until every lane's
-/// float64-measured residual clears max(f32_switch_tolerance, tolerance)
-/// or stops improving, then hands the widened iterate back to the float64
-/// loop. No lane is ever marked converged here (only float64 sweeps decide
-/// convergence), no lane is compacted (the phase is short), and the budget
-/// of max_iterations − 1 guarantees at least one float64 refinement sweep.
-/// Returns the number of sweeps spent, which the caller uses as the
-/// float64 loop's starting iteration index; per-lane iteration counts and
-/// residual history are updated in place.
-int MixedPrecisionPrePhase(const WebGraph& graph, uint32_t k, uint64_t n,
-                           const SolverOptions& opt,
-                           simd::Level level, bool redistribute,
-                           std::vector<double>* cur,
-                           const std::vector<double>& vflat,
-                           std::vector<PageRankResult>* results,
-                           SolverWorkspace* ws, util::ThreadPool* pool) {
-  const double switch_tol =
-      std::max(opt.f32_switch_tolerance, opt.tolerance);
-  std::vector<float>& fcur = ws->iterate_f32();
-  std::vector<float>& fnext = ws->next_f32();
-  std::vector<float>& fscaled = ws->scaled_f32();
-  std::vector<float>& fscaled_next = ws->scaled_next_f32();
-  std::vector<float>& fvflat = ws->jump_flat_f32();
-  std::vector<float>& finv = ws->inv_out_f32();
-  fcur.resize(n * k);
-  fnext.resize(n * k);
-  fscaled.resize(n * k);
-  fscaled_next.resize(n * k);
-  fvflat.resize(n * k);
-  kernel::InvOutDegreesF32(graph, &finv);
-  for (uint64_t i = 0; i < n * k; ++i) {
-    fcur[i] = static_cast<float>((*cur)[i]);
-    fvflat[i] = static_cast<float>(vflat[i]);
-  }
-  kernel::ScaleByInvOutDegreeF32(static_cast<uint32_t>(n), k, finv.data(),
-                                 fcur.data(), fscaled.data(), pool);
-
-  std::array<double, kernel::kMaxVectorsPerSweep> dangling{};
-  std::array<double, kernel::kMaxVectorsPerSweep> diffs{};
-  std::array<double, kernel::kMaxVectorsPerSweep> prev_diffs{};
-  prev_diffs.fill(std::numeric_limits<double>::infinity());
-  if (!redistribute) dangling.fill(0.0);
-
-  int used = 0;
-  // max_iterations − 1 budget: the float64 loop always gets ≥ 1 sweep.
-  for (; used < opt.max_iterations - 1; ++used) {
-    if (redistribute) {
-      kernel::DanglingSumsF32(graph, k, fcur.data(),
-                              &ws->dangling_partials(), dangling.data(),
-                              pool);
-    }
-    kernel::WeightedJacobiSweepMultiF32(
-        graph, k, fvflat.data(), opt.damping, dangling.data(), finv.data(),
-        fcur.data(), fscaled.data(), fnext.data(), fscaled_next.data(),
-        &ws->node_partials(), diffs.data(), level, pool);
-    fcur.swap(fnext);
-    fscaled.swap(fscaled_next);
-    SweepsCounter()->Increment();
-
-    bool all_below = true;
-    bool all_stalled = true;
-    for (uint32_t j = 0; j < k; ++j) {
-      PageRankResult& r = (*results)[j];
-      r.iterations = used + 1;
-      r.residual = diffs[j];
-      if (opt.track_residuals) r.residual_history.push_back(diffs[j]);
-      if (diffs[j] >= switch_tol) all_below = false;
-      // A lane still shaving ≥ 1% off its residual per sweep is making
-      // float32-worthy progress; once every lane stalls, float32 has done
-      // all it can and the float64 phase takes over.
-      if (diffs[j] < 0.99 * prev_diffs[j]) all_stalled = false;
-      prev_diffs[j] = diffs[j];
-    }
-    if (all_below || all_stalled) {
-      ++used;
-      break;
-    }
-  }
-  for (uint64_t i = 0; i < n * k; ++i) {
-    (*cur)[i] = static_cast<double>(fcur[i]);
-  }
-  return used;
-}
-
 /// Fused Jacobi solve (Algorithm 1) for a batch of 1..kMaxVectorsPerSweep
 /// jump vectors: all in-flight lanes advance through one CSR traversal per
 /// sweep. Each lane converges independently; a converged lane's scores are
@@ -312,22 +209,13 @@ std::vector<PageRankResult> SolveJacobiBatch(
   std::vector<uint32_t> lane_ids(k);
   for (uint32_t j = 0; j < k; ++j) lane_ids[j] = j;
 
-  // Mixed precision: burn down the bulk of the residual in float32 first;
-  // the float64 loop below then starts at the pre-phase's iteration count.
-  int start_iter = 0;
-  if (opt.precision == SweepPrecision::kMixedF32) {
-    start_iter = MixedPrecisionPrePhase(graph, k, n, opt, level,
-                                        redistribute, &cur, vflat, &results,
-                                        ws, pool);
-  }
-
   uint32_t live = k;
   // Seed the scaled iterate once; each sweep then emits next_scaled
   // alongside next (same values ScaleByInvOutDegree would produce), so the
   // full-pass rescale never runs again.
   kernel::ScaleByInvOutDegree(graph, live, cur.data(), scaled.data(), pool);
   if (!redistribute) dangling.fill(0.0);
-  for (int i = start_iter; i < opt.max_iterations && live > 0; ++i) {
+  for (int i = 0; i < opt.max_iterations && live > 0; ++i) {
     if (redistribute) {
       kernel::DanglingSums(graph, live, cur.data(), &ws->dangling_partials(),
                            dangling.data(), pool);
@@ -558,15 +446,6 @@ Status CheckGraphAndOptions(const WebGraph& graph,
       !simd::IsSupported(simd::Level::kAvx2)) {
     return Status::InvalidArgument("simd policy avx2 forced on a host "
                                    "without AVX2+FMA support");
-  }
-  if (options.precision == SweepPrecision::kMixedF32 &&
-      options.method != Method::kJacobi) {
-    return Status::InvalidArgument(
-        "mixed-f32 precision requires the Jacobi method");
-  }
-  if (options.precision == SweepPrecision::kMixedF32 &&
-      !(options.f32_switch_tolerance >= 0.0)) {
-    return Status::InvalidArgument("f32_switch_tolerance must be >= 0");
   }
   return Status::OK();
 }

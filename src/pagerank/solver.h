@@ -41,19 +41,6 @@ enum class Method { kJacobi, kGaussSeidel, kSor, kPowerIteration };
 /// Gauss-Seidel/SOR sweeps are sequential and ignore this.
 enum class SimdPolicy { kScalar, kAuto, kAvx2 };
 
-/// Lane-storage precision of the Jacobi sweep.
-enum class SweepPrecision {
-  /// float64 lanes throughout — the bit-exact reference.
-  kFloat64,
-  /// Mixed precision: float32 lanes (half the memory traffic) until the
-  /// float64-measured residual clears f32_switch_tolerance or stops
-  /// improving, then float64 lanes to the final tolerance. At least one
-  /// full float64 refinement sweep always runs, and every residual —
-  /// including those of float32 sweeps — is accumulated in float64, so
-  /// convergence decisions never trust float32 arithmetic. Jacobi only.
-  kMixedF32,
-};
-
 /// What to do with the PageRank that reaches a node without outlinks.
 enum class DanglingPolicy {
   /// Let it dissipate — the linear system (3) with substochastic T. This is
@@ -90,17 +77,10 @@ struct SolverOptions {
   /// preserve per-lane accumulation order but may differ by FMA
   /// contraction (validated against scalar by the variant tests).
   SimdPolicy simd = SimdPolicy::kScalar;
-  /// Lane-storage precision of the Jacobi sweep (see SweepPrecision).
-  SweepPrecision precision = SweepPrecision::kFloat64;
   /// Deprecated and ignored: the compressed-gather sweep was removed
   /// because it lost to the plain CSR gather at every measured scale. The
   /// field stays only so existing callers that clear it still compile.
   bool compressed_gather = false;
-  /// Mixed-precision switch point: the float32 pre-phase hands over to
-  /// float64 once every lane's residual drops below
-  /// max(f32_switch_tolerance, tolerance). Near the float32 unit roundoff
-  /// by default; raising it shifts work to the float64 phase.
-  double f32_switch_tolerance = 1e-6;
 
   /// The solver configuration shared by the eval pipeline, the CLI
   /// defaults, and the paper-reproduction benches: Gauss-Seidel at 1e-10 /
@@ -121,13 +101,6 @@ const char* SimdPolicyToString(SimdPolicy policy);
 /// Inverse of SimdPolicyToString. Fails with InvalidArgument on unknown
 /// names.
 util::Result<SimdPolicy> SimdPolicyFromString(std::string_view name);
-
-/// Human-readable precision name ("f64", "mixed-f32").
-const char* SweepPrecisionToString(SweepPrecision precision);
-
-/// Inverse of SweepPrecisionToString. Fails with InvalidArgument on
-/// unknown names.
-util::Result<SweepPrecision> SweepPrecisionFromString(std::string_view name);
 
 /// Solution plus convergence diagnostics.
 struct PageRankResult {

@@ -43,12 +43,9 @@ std::string BuildManifestJson(const ManifestInputs& inputs) {
   json.KV("max_iterations", config.solver.max_iterations);
   json.KV("num_threads", config.solver.num_threads);
   json.KV("simd", pagerank::SimdPolicyToString(config.solver.simd));
-  json.KV("precision",
-          pagerank::SweepPrecisionToString(config.solver.precision));
   json.EndObject();
   json.KV("gamma", config.gamma);
   json.KV("scale_core_jump", config.scale_core_jump);
-  json.KV("reorder", graph::ReorderKindToString(config.reorder));
   json.Key("detection").BeginObject();
   json.KV("relative_mass_threshold",
           config.detection.relative_mass_threshold);

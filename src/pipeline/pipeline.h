@@ -31,6 +31,8 @@ struct PipelineRun {
   /// Per-solve convergence telemetry (iterations, residual, and — when
   /// config.solver.track_residuals is set — the residual curve).
   std::vector<std::pair<std::string, pagerank::SolveStats>> solve_stats;
+  /// Wall time of the load plus everything RunDetectors did, so it is at
+  /// least the sum of `stages`.
   double total_seconds = 0;
   /// The run manifest, already serialized (schema in docs/architecture.md).
   std::string manifest_json;

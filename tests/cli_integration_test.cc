@@ -332,6 +332,34 @@ TEST_F(CliTest, RemovedBinaryOptionsRejected) {
       << ReadFile("stderr.txt");
 }
 
+TEST_F(CliTest, RemovedSweepOptionsRejected) {
+  // Vertex reordering and the float32 sweep are gone: their flags fail
+  // like any unknown flag, and the manifest no longer echoes them.
+  const std::string d = Dir();
+  ASSERT_EQ(Run("generate --scale 0.02 --seed 6 --out-edges " + d +
+                "/sw.edges --out-core " + d + "/sw.core"),
+            0);
+  const std::string run = "run --graph " + d + "/sw.edges --core " + d +
+                          "/sw.core --detectors spam_mass --manifest " + d +
+                          "/sw.json";
+  for (const char* removed : {" --reorder degree", " --precision f64"}) {
+    EXPECT_NE(Run(run + removed), 0) << removed;
+    EXPECT_NE(ReadFile("stderr.txt").find("unknown flag"), std::string::npos)
+        << removed << ": " << ReadFile("stderr.txt");
+  }
+  ASSERT_EQ(Run(run), 0);
+  testutil::JsonValue manifest;
+  std::string error;
+  ASSERT_TRUE(testutil::JsonParser::Parse(ReadFile("sw.json"), &manifest,
+                                          &error))
+      << error;
+  const testutil::JsonValue& config = manifest["runs"][0]["config"];
+  ASSERT_TRUE(config.Has("solver"));
+  EXPECT_TRUE(config["solver"].Has("simd"));
+  EXPECT_FALSE(config.Has("reorder"));
+  EXPECT_FALSE(config["solver"].Has("precision"));
+}
+
 TEST_F(CliTest, RunRejectsLegacyBinaryWithReconvertHint) {
   // A hand-written format 2.0 header (magic, version 2, flags 0, minor 0,
   // node and edge counts) over two pages of filler: both loaders must

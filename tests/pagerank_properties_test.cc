@@ -3,11 +3,15 @@
 //   * Theorem 1: p_y = Σ_x q_y^x over any partition of V,
 //   * agreement of the iterative solvers with the truncated Neumann series
 //     within the analytic truncation bound,
-//   * monotonicity and positivity properties.
+//   * monotonicity and positivity properties,
+//   * equivariance under node relabeling.
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "graph/graph_builder.h"
+#include "graph_permute_test_util.h"
 #include "pagerank/contribution.h"
 #include "pagerank/jump_vector.h"
 #include "pagerank/neumann.h"
@@ -163,6 +167,41 @@ TEST_P(PageRankPropertyTest, AddingInlinkNeverDecreasesPageRank) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, PageRankPropertyTest,
                          ::testing::Values(1u, 2u, 3u, 5u, 8u, 13u, 21u));
+
+TEST(ReorderTest, PageRankIsPermutationEquivariant) {
+  // Skewed sources: half the nodes carry every outlink, so the relabeled
+  // CSR rows differ in length as well as in position.
+  util::Rng rng(19);
+  GraphBuilder b(500);
+  for (int e = 0; e < 3000; ++e) {
+    auto u = static_cast<NodeId>(rng.UniformIndex(250));
+    auto v = static_cast<NodeId>(rng.UniformIndex(500));
+    if (u != v) b.AddEdge(u, v);
+  }
+  WebGraph g = b.Build();
+  SolverOptions opt;
+  opt.method = Method::kJacobi;
+  opt.tolerance = 1e-12;
+  auto base = ComputeUniformPageRank(g, opt);
+  ASSERT_TRUE(base.ok());
+
+  const std::vector<NodeId> perms[] = {
+      testutil::SeededPermutation(g.num_nodes(), /*seed=*/7),
+      testutil::ReversedPermutation(g.num_nodes()),
+  };
+  for (const std::vector<NodeId>& perm : perms) {
+    auto permuted =
+        ComputeUniformPageRank(testutil::PermuteGraph(g, perm), opt);
+    ASSERT_TRUE(permuted.ok());
+    for (NodeId x = 0; x < g.num_nodes(); ++x) {
+      // Same mathematical system under relabeling; only the CSR traversal
+      // order (and hence fp addition order) changes, so near-equality.
+      EXPECT_NEAR(base.value().scores[x], permuted.value().scores[perm[x]],
+                  1e-10)
+          << "node " << x;
+    }
+  }
+}
 
 }  // namespace
 }  // namespace spammass

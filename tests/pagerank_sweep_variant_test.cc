@@ -1,10 +1,8 @@
 // Sweep-variant validation matrix. The default configuration (scalar
-// instruction set, float64 lanes) is the bit-exact reference; this suite
-// pins every other combination against it:
+// instruction set) is the bit-exact reference; this suite pins the
+// vectorized sweep against it:
 //   * vectorized sweeps preserve per-lane accumulation order and may
 //     differ only by FMA contraction — near-equality with a tight bound,
-//   * mixed-f32 runs float32 pre-sweeps but always refines in float64, so
-//     converged solves meet the same tolerance contract,
 //   * every variant stays bit-identical to ITSELF across thread counts
 //     (the deterministic chunked reductions are variant-independent),
 //   * invalid option combinations fail validation up front.
@@ -33,7 +31,6 @@ using pagerank::JumpVector;
 using pagerank::Method;
 using pagerank::SimdPolicy;
 using pagerank::SolverOptions;
-using pagerank::SweepPrecision;
 namespace simd = pagerank::simd;
 
 WebGraph MakeGraph(uint32_t n, uint32_t edges, uint64_t seed) {
@@ -120,45 +117,10 @@ TEST_F(SweepVariantTest, SimdMatchesScalarWithinFmaTolerance) {
   }
 }
 
-TEST_F(SweepVariantTest, MixedF32MeetsToleranceContract) {
-  SolverOptions ref = BaseOptions();
-  ref.tolerance = 1e-10;
-  auto want = Solve(graph_, ref);
-  for (auto simd_policy : {SimdPolicy::kScalar, SimdPolicy::kAuto}) {
-    SolverOptions mixed = ref;
-    mixed.precision = SweepPrecision::kMixedF32;
-    mixed.simd = simd_policy;
-    auto results = pagerank::ComputePageRankMulti(graph_, jumps_, mixed);
-    ASSERT_TRUE(results.ok()) << results.status().ToString();
-    for (size_t j = 0; j < results.value().size(); ++j) {
-      const auto& r = results.value()[j];
-      // The final sweeps are float64: the convergence contract holds.
-      EXPECT_TRUE(r.converged) << "lane " << j;
-      EXPECT_LT(r.residual, mixed.tolerance) << "lane " << j;
-      for (size_t x = 0; x < r.scores.size(); ++x) {
-        // Both solves land within solver tolerance of the same fixed
-        // point; the residual bounds the distance via the contraction.
-        EXPECT_NEAR(r.scores[x], want[j][x], 1e-8)
-            << "lane " << j << " node " << x;
-      }
-    }
-  }
-}
-
 TEST_F(SweepVariantTest, EveryVariantThreadCountDeterministic) {
-  struct Case {
-    SimdPolicy simd;
-    SweepPrecision precision;
-  };
-  const Case cases[] = {
-      {SimdPolicy::kScalar, SweepPrecision::kFloat64},
-      {SimdPolicy::kAuto, SweepPrecision::kFloat64},
-      {SimdPolicy::kAuto, SweepPrecision::kMixedF32},
-  };
-  for (const Case& c : cases) {
+  for (SimdPolicy policy : {SimdPolicy::kScalar, SimdPolicy::kAuto}) {
     SolverOptions opt = BaseOptions();
-    opt.simd = c.simd;
-    opt.precision = c.precision;
+    opt.simd = policy;
     opt.num_threads = 1;
     auto serial = Solve(graph_, opt);
     for (uint32_t threads : {2u, 4u, 8u}) {
@@ -219,12 +181,6 @@ TEST_F(SweepVariantTest, InvalidCombinationsRejected) {
   SolverOptions auto_ok = BaseOptions();
   auto_ok.simd = SimdPolicy::kAuto;
   EXPECT_TRUE(pagerank::ComputePageRank(graph_, v, auto_ok).ok());
-
-  // Mixed precision is a Jacobi-only feature.
-  SolverOptions mixed_gs = BaseOptions();
-  mixed_gs.method = Method::kGaussSeidel;
-  mixed_gs.precision = SweepPrecision::kMixedF32;
-  EXPECT_FALSE(pagerank::ComputePageRank(graph_, v, mixed_gs).ok());
 }
 
 TEST_F(SweepVariantTest, StringConversionsRoundTrip) {
@@ -237,14 +193,6 @@ TEST_F(SweepVariantTest, StringConversionsRoundTrip) {
   }
   EXPECT_FALSE(pagerank::SimdPolicyFromString("avx512").ok());
   EXPECT_FALSE(pagerank::SimdPolicyFromString("neon").ok());
-  for (SweepPrecision precision :
-       {SweepPrecision::kFloat64, SweepPrecision::kMixedF32}) {
-    auto parsed = pagerank::SweepPrecisionFromString(
-        pagerank::SweepPrecisionToString(precision));
-    ASSERT_TRUE(parsed.ok());
-    EXPECT_EQ(parsed.value(), precision);
-  }
-  EXPECT_FALSE(pagerank::SweepPrecisionFromString("f16").ok());
 }
 
 }  // namespace

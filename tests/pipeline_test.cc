@@ -20,6 +20,7 @@
 #include "synth/paper_graphs.h"
 #include "temp_dir_test_util.h"
 #include "util/logging.h"
+#include "util/random.h"
 
 namespace spammass {
 namespace {
@@ -274,6 +275,31 @@ TEST(RunDetectorsTest, ProducesManifestAndOutputs) {
     EXPECT_NE(json.find(needle), std::string::npos)
         << "manifest missing " << needle << "\n" << json;
   }
+}
+
+TEST(RunDetectorsTest, TotalSecondsCoversEveryStage) {
+  // The load happens before RunDetectors starts its clock; total_seconds
+  // must still include it, so it can never be less than the stage sum.
+  // Parsing 200k text edges outweighs the cheap degree_outlier run, so a
+  // total that left the load out would fall short of the sum.
+  util::Rng rng(31);
+  graph::GraphBuilder builder(20'000);
+  for (int e = 0; e < 200'000; ++e) {
+    builder.AddEdge(static_cast<graph::NodeId>(rng.UniformIndex(20'000)),
+                    static_cast<graph::NodeId>(rng.UniformIndex(20'000)));
+  }
+  const std::string path = TempPath("total_seconds.edges");
+  ASSERT_TRUE(graph::WriteEdgeListText(builder.Build(), path).ok());
+  pipeline::GraphSource source = pipeline::GraphSource::FromFile(path);
+  auto run = pipeline::RunDetectors(source, pipeline::PipelineConfig(),
+                                    {"degree_outlier"});
+  ASSERT_TRUE(run.ok()) << run.status().ToString();
+  const auto& stages = run.value().stages;
+  ASSERT_FALSE(stages.empty());
+  EXPECT_EQ(stages.front().name, "load");
+  double stage_sum = 0;
+  for (const pipeline::StageTiming& stage : stages) stage_sum += stage.seconds;
+  EXPECT_GE(run.value().total_seconds, stage_sum);
 }
 
 TEST(RunDetectorsTest, Figure2SpamMassMatchesPaper) {

@@ -1,39 +1,31 @@
 // End-to-end variant equivalence: the Figure-4-style detection outcome —
 // who is flagged, which candidates surface, their ordering — must be
-// identical across every sweep variant (SIMD, mixed precision) and every
-// vertex reordering, because those are storage/traversal
-// choices, not model changes. Also the permutation-invariance property
-// test: spam mass, relative mass and verdicts are invariant under random,
-// degree and BFS node permutations for Jacobi and Gauss-Seidel at 1 and 4
-// threads.
+// identical across sweep instruction sets, because that is a traversal
+// choice, not a model change. Also the permutation-invariance property
+// test: spam mass and relative mass are invariant under a seeded shuffle
+// and the reversal of the node order for Jacobi and Gauss-Seidel at 1 and
+// 4 threads.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
-#include <numeric>
 #include <string>
 #include <vector>
 
 #include "core/spam_mass.h"
-#include "graph/reorder.h"
-#include "pagerank/simd.h"
+#include "graph_permute_test_util.h"
 #include "pagerank/solver.h"
 #include "pipeline/context.h"
 #include "pipeline/graph_source.h"
 #include "pipeline/pipeline.h"
-#include "util/random.h"
 
 namespace spammass {
 namespace {
 
 using graph::NodeId;
-using graph::Reordering;
-using graph::ReorderKind;
 using graph::WebGraph;
 using pagerank::SimdPolicy;
-using pagerank::SweepPrecision;
-namespace simd = pagerank::simd;
 
 pipeline::PipelineConfig BaseConfig() {
   pipeline::PipelineConfig config;
@@ -81,7 +73,7 @@ void ExpectSameVerdicts(const pipeline::PipelineRun& want,
 TEST(PipelineVariantEquivalenceTest, BaselineVerdictMarginsAreRobust) {
   // Guard for this whole suite: every candidate's relative mass must sit a
   // safe distance from the τ threshold, so tolerance-level perturbations
-  // (FMA contraction, f32 pre-phases, traversal reordering) cannot flip a
+  // (FMA contraction, fp addition order) cannot flip a
   // verdict and the exact-equality assertions below are meaningful.
   pipeline::PipelineConfig config = BaseConfig();
   auto run = RunScenario(config);
@@ -108,85 +100,30 @@ TEST(PipelineVariantEquivalenceTest, BaselineVerdictMarginsAreRobust) {
 }
 
 TEST(PipelineVariantEquivalenceTest, SweepVariantsPreserveDetection) {
+  // kAuto runs the best vector backend (scalar on hosts without one).
   auto baseline = RunScenario(BaseConfig());
   ASSERT_TRUE(baseline.ok()) << baseline.status().ToString();
-
-  struct Case {
-    const char* label;
-    SimdPolicy simd;
-    SweepPrecision precision;
-  };
-  std::vector<Case> cases = {
-      {"mixed_f32", SimdPolicy::kScalar, SweepPrecision::kMixedF32},
-  };
-  if (simd::Best() != simd::Level::kScalar) {
-    cases.push_back({"simd", SimdPolicy::kAuto, SweepPrecision::kFloat64});
-    cases.push_back({"simd_f32", SimdPolicy::kAuto, SweepPrecision::kMixedF32});
-  }
-  for (const Case& c : cases) {
+  for (uint32_t threads : {1u, 4u}) {
     pipeline::PipelineConfig config = BaseConfig();
-    config.solver.simd = c.simd;
-    config.solver.precision = c.precision;
+    config.solver.simd = SimdPolicy::kAuto;
+    config.solver.num_threads = threads;
     auto run = RunScenario(config);
-    ASSERT_TRUE(run.ok()) << c.label << ": " << run.status().ToString();
-    ExpectSameVerdicts(baseline.value(), run.value(), c.label);
-  }
-}
-
-TEST(PipelineVariantEquivalenceTest, ReorderingsPreserveDetection) {
-  auto baseline = RunScenario(BaseConfig());
-  ASSERT_TRUE(baseline.ok()) << baseline.status().ToString();
-
-  for (ReorderKind kind : {ReorderKind::kDegreeDesc, ReorderKind::kBfs}) {
-    pipeline::PipelineConfig config = BaseConfig();
-    config.reorder = kind;
-    auto run = RunScenario(config);
-    const std::string label = graph::ReorderKindToString(kind);
+    const std::string label = "simd, " + std::to_string(threads) + " threads";
     ASSERT_TRUE(run.ok()) << label << ": " << run.status().ToString();
     ExpectSameVerdicts(baseline.value(), run.value(), label);
-    // The returned source graph is the ORIGINAL, not the permuted copy.
-    pipeline::GraphSource source = pipeline::GraphSource::Scenario(0.03, 17);
-    auto reference = source.Load();
-    ASSERT_TRUE(reference.ok());
-    ASSERT_EQ(run.value().source.graph().num_nodes(),
-              reference.value().graph().num_nodes());
-    for (NodeId x = 0; x < reference.value().graph().num_nodes(); ++x) {
-      auto a = run.value().source.graph().OutNeighbors(x);
-      auto b = reference.value().graph().OutNeighbors(x);
-      ASSERT_EQ(a.size(), b.size()) << label << " node " << x;
-      EXPECT_TRUE(std::equal(a.begin(), a.end(), b.begin()))
-          << label << " node " << x;
-    }
   }
-}
-
-TEST(PipelineVariantEquivalenceTest, ReorderingWithVariantsCombined) {
-  auto baseline = RunScenario(BaseConfig());
-  ASSERT_TRUE(baseline.ok());
-
-  pipeline::PipelineConfig config = BaseConfig();
-  config.reorder = ReorderKind::kDegreeDesc;
-  if (simd::Best() != simd::Level::kScalar) {
-    config.solver.simd = SimdPolicy::kAuto;
-  }
-  config.solver.precision = SweepPrecision::kMixedF32;
-  config.solver.num_threads = 4;
-  auto run = RunScenario(config);
-  ASSERT_TRUE(run.ok()) << run.status().ToString();
-  ExpectSameVerdicts(baseline.value(), run.value(), "combined");
 }
 
 TEST(PipelineVariantEquivalenceTest, ManifestEchoesVariantConfig) {
   pipeline::PipelineConfig config = BaseConfig();
   config.solver.simd = SimdPolicy::kAuto;
-  config.solver.precision = SweepPrecision::kMixedF32;
-  config.reorder = ReorderKind::kBfs;
+  config.solver.num_threads = 3;
   auto run = RunScenario(config);
   ASSERT_TRUE(run.ok()) << run.status().ToString();
   const std::string& json = run.value().manifest_json;
   for (const char* needle :
-       {"\"simd\":\"auto\"", "\"precision\":\"mixed-f32\"",
-        "\"reorder\":\"bfs\"", "\"name\":\"reorder\""}) {
+       {"\"simd\":\"auto\"", "\"method\":\"jacobi\"",
+        "\"num_threads\":3"}) {
     EXPECT_NE(json.find(needle), std::string::npos)
         << "manifest missing " << needle << "\n" << json;
   }
@@ -219,32 +156,19 @@ TEST_P(MassPermutationInvarianceTest, MassAndVerdictsInvariant) {
       core::EstimateSpamMass(g, loaded.value().good_core, options);
   ASSERT_TRUE(base.ok()) << base.status().ToString();
 
-  // Three permutations: the two locality orders plus a seeded random one.
-  std::vector<std::pair<std::string, Reordering>> permutations;
-  permutations.emplace_back(
-      "degree", graph::ComputeReordering(g, ReorderKind::kDegreeDesc));
-  permutations.emplace_back("bfs",
-                            graph::ComputeReordering(g, ReorderKind::kBfs));
-  Reordering random;
-  random.perm.resize(n);
-  std::iota(random.perm.begin(), random.perm.end(), 0u);
-  util::Rng rng(99);
-  for (uint32_t x = n; x > 1; --x) {
-    std::swap(random.perm[x - 1], random.perm[rng.UniformIndex(x)]);
-  }
-  random.inverse.resize(n);
-  for (NodeId x = 0; x < n; ++x) random.inverse[random.perm[x]] = x;
-  permutations.emplace_back("random", std::move(random));
-
-  for (const auto& [label, reordering] : permutations) {
-    WebGraph permuted = graph::ApplyReordering(g, reordering);
-    std::vector<NodeId> permuted_core =
-        graph::MapNodeIds(loaded.value().good_core, reordering.perm);
+  const std::pair<std::string, std::vector<NodeId>> permutations[] = {
+      {"random", testutil::SeededPermutation(n, /*seed=*/99)},
+      {"reversed", testutil::ReversedPermutation(n)},
+  };
+  for (const auto& [label, perm] : permutations) {
+    WebGraph permuted = testutil::PermuteGraph(g, perm);
+    std::vector<NodeId> permuted_core;
+    for (NodeId x : loaded.value().good_core) permuted_core.push_back(perm[x]);
     std::sort(permuted_core.begin(), permuted_core.end());
     auto got = core::EstimateSpamMass(permuted, permuted_core, options);
     ASSERT_TRUE(got.ok()) << label << ": " << got.status().ToString();
     for (NodeId x = 0; x < n; ++x) {
-      const NodeId y = reordering.perm[x];
+      const NodeId y = perm[x];
       EXPECT_NEAR(base.value().relative_mass[x],
                   got.value().relative_mass[y], 1e-6)
           << label << " node " << x;

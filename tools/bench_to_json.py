@@ -20,12 +20,7 @@ Suite `solver` (bench_solver_perf + bench_multi_solve):
         BM_IndependentSolves/<k> / BM_FusedMultiSolve/<k>
   * simd_multi_rhs_speedup_k4 (bench_sweep_variants, power-law web):
         BM_SweepScalarF64Plain / BM_SweepSimdF64Plain
-  * mixed_precision_speedup_k4 / full_variant_speedup_k4: the scalar/f64
-    sweep over the mixed-f32 and simd+f32 variants
-  * reorder_degree_sweep_speedup / reorder_bfs_sweep_speedup:
-        crawl-order sweep over the locality-reordered sweep
-    plus `bytes_per_edge`: the modelled traffic counters of the f64
-    sweep vs. the f32 sweep and the relative reduction.
+    plus `bytes_per_edge`: the modelled traffic counter of the sweep.
 
 Suite `graph` (bench_graph_ops, 100k-node ingest fixtures; the mmap
 ratio uses a 300k-node power-law web, ~50 MB CSR):
@@ -110,14 +105,6 @@ SOLVER_RATIO_PAIRS = [
      "BM_FusedMultiSolve/8"),
     ("simd_multi_rhs_speedup_k4", "BM_SweepScalarF64Plain",
      "BM_SweepSimdF64Plain"),
-    ("mixed_precision_speedup_k4", "BM_SweepScalarF64Plain",
-     "BM_SweepScalarF32Plain"),
-    ("full_variant_speedup_k4", "BM_SweepScalarF64Plain",
-     "BM_SweepSimdF32Plain"),
-    ("reorder_degree_sweep_speedup", "BM_SweepScalarF64Plain",
-     "BM_SweepReorderedDegree"),
-    ("reorder_bfs_sweep_speedup", "BM_SweepScalarF64Plain",
-     "BM_SweepReorderedBfs"),
 ]
 
 GRAPH_RATIO_PAIRS = [
@@ -259,20 +246,12 @@ def check_regressions(speedups, baseline_path, threshold=0.10):
 
 
 def bytes_per_edge_summary(merged):
-    """Derives the bytes-per-edge reduction from the variant counters."""
-    counters = {}
+    """The modelled bytes-per-edge counter of the scalar sweep entry."""
     for entry in merged["benchmarks"]:
-        if "bytes_per_edge" in entry:
-            counters[entry["name"]] = entry["bytes_per_edge"]
-    f64 = counters.get("BM_SweepScalarF64Plain")
-    f32 = counters.get("BM_SweepScalarF32Plain")
-    if not f64 or f32 is None:
-        return None
-    return {
-        "plain_f64": f64,
-        "plain_f32": f32,
-        "reduction": 1.0 - f32 / f64,
-    }
+        if entry["name"] == "BM_SweepScalarF64Plain":
+            f64 = entry.get("bytes_per_edge")
+            return {"plain_f64": f64} if f64 else None
+    return None
 
 
 def main():

@@ -26,7 +26,6 @@
 #include "eval/metrics.h"
 #include "graph/graph_io.h"
 #include "graph/graph_stats.h"
-#include "graph/reorder.h"
 #include "graph/site_aggregation.h"
 #include "obs/metrics.h"
 #include "obs/resource.h"
@@ -207,8 +206,6 @@ void DefineSolverFlags(util::FlagParser* flags) {
   flags->Define("simd", pagerank::SimdPolicyToString(preset.simd),
                 "sweep instruction set: scalar | auto | avx2 "
                 "(Jacobi/power only; forcing an unsupported level fails)");
-  flags->Define("precision", pagerank::SweepPrecisionToString(preset.precision),
-                "sweep lane precision: f64 | mixed-f32 (Jacobi only)");
 }
 
 util::Result<pagerank::SolverOptions> SolverFromFlags(
@@ -225,10 +222,6 @@ util::Result<pagerank::SolverOptions> SolverFromFlags(
   auto simd = pagerank::SimdPolicyFromString(flags.GetString("simd"));
   if (!simd.ok()) return simd.status();
   solver.simd = simd.value();
-  auto precision =
-      pagerank::SweepPrecisionFromString(flags.GetString("precision"));
-  if (!precision.ok()) return precision.status();
-  solver.precision = precision.value();
   return solver;
 }
 
@@ -664,9 +657,6 @@ int CmdRun(int argc, const char* const* argv) {
   DefineSolverFlags(&flags);
   flags.Define("tau", "0.98", "relative-mass threshold (Algorithm 2)");
   flags.Define("rho", "10", "scaled-PageRank threshold (Algorithm 2)");
-  flags.Define("reorder", "none",
-               "locality-aware vertex reordering before the solves: none | "
-               "degree | bfs | rcm (outputs stay in original node IDs)");
   flags.DefineBool("mmap",
                    "map file graphs zero-copy (paged v2.2 containers only)");
   ObsSession::DefineFlags(&flags);
@@ -687,9 +677,6 @@ int CmdRun(int argc, const char* const* argv) {
   if (!config.ok()) return Fail(config.status());
   config.value().detection.relative_mass_threshold = flags.GetDouble("tau");
   config.value().detection.scaled_pagerank_threshold = flags.GetDouble("rho");
-  auto reorder = graph::ReorderKindFromString(flags.GetString("reorder"));
-  if (!reorder.ok()) return Fail(reorder.status());
-  config.value().reorder = reorder.value();
 
   std::vector<std::string> detector_names;
   for (const std::string& name : util::Split(flags.GetString("detectors"),
