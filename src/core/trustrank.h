@@ -35,13 +35,31 @@ struct TrustRankResult {
   std::vector<double> trust;
 };
 
-/// Selects seed candidates by inverse PageRank — PageRank on the transposed
-/// graph — so that seeds are pages from which many pages are quickly
-/// reachable. Returns the top `k` nodes (k clamped to n).
-util::Result<std::vector<graph::NodeId>> SelectSeedsByInversePageRank(
-    const graph::WebGraph& graph, uint32_t k,
-    const pagerank::SolverOptions& solver,
-    pagerank::SolverWorkspace* workspace = nullptr);
+/// How far past the top `seed_candidates` the oracle may look when it
+/// rejects all of them, as a multiple of `seed_candidates`.
+inline constexpr uint32_t kOracleBudgetFactor = 20;
+
+/// Seeds picked by SelectTrustRankSeeds, plus the telemetry of the
+/// inverse-PageRank solve that ranked them.
+struct SeedSelection {
+  std::vector<graph::NodeId> seeds;
+  pagerank::SolveStats inverse_solve;
+};
+
+/// The one TrustRank seed selector. Ranks nodes by inverse PageRank —
+/// PageRank on the transposed graph, so that seeds are pages from which
+/// many pages are quickly reachable — in score-descending, id-ascending
+/// order, and takes the top `options.seed_candidates` (clamped to n).
+/// With a non-null `oracle` and `options.filter_seeds_by_oracle`, the
+/// candidates the oracle does not label good are dropped. If it rejects
+/// all of them, the oracle keeps inspecting hosts in the same order (as in
+/// the TrustRank paper) and the first good one becomes the only seed; the
+/// walk stops after kOracleBudgetFactor × seed_candidates hosts in all,
+/// and fails with FailedPrecondition naming how many were examined. A
+/// null `oracle` keeps every candidate.
+util::Result<SeedSelection> SelectTrustRankSeeds(
+    const graph::WebGraph& graph, const TrustRankOptions& options,
+    const LabelStore* oracle, pagerank::SolverWorkspace* workspace = nullptr);
 
 /// Computes TrustRank with the given explicit seed set: a biased PageRank
 /// whose random jump is uniform over the seeds with total mass 1.

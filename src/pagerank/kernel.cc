@@ -1,6 +1,7 @@
 #include "pagerank/kernel.h"
 
 #include <algorithm>
+#include <cmath>
 
 #include "util/logging.h"
 
@@ -9,8 +10,102 @@ namespace spammass::pagerank::kernel {
 using graph::NodeId;
 using graph::WebGraph;
 
-static_assert(simd::kMaxSweepLanes == kMaxVectorsPerSweep,
-              "simd_sweep_body.h lane cap must match the kernel's");
+namespace {
+
+/// Everything one sweep range needs, precomputed by the kernel entry point.
+/// Lane j of node x lives at x·k + j in each interleaved array.
+struct SweepArgs {
+  uint32_t k = 1;
+  /// In-CSR offsets and source ids.
+  const uint64_t* in_offsets = nullptr;
+  const NodeId* sources = nullptr;
+  /// Inverse out-degrees (0 for dangling nodes).
+  const double* inv = nullptr;
+  /// Jump vectors, interleaved.
+  const double* v = nullptr;
+  /// Damping factor c.
+  double c = 0;
+  /// Hoisted per-lane jump multiplier m[j] = (1−c) + c·dangling[j].
+  const double* m = nullptr;
+  const double* p = nullptr;
+  const double* scaled = nullptr;
+  double* next = nullptr;
+  /// Nullable: when set, receives next · inv (the pre-scaled iterate).
+  double* next_scaled = nullptr;
+};
+
+/// Sweep over node range [begin, end). K is the compile-time lane count
+/// (0 = use args.k for compacted in-between widths); every width computes
+/// the same per-lane expressions in the same order, so a lane's output
+/// never depends on K. diff_slot[j] receives the range's L1 difference for
+/// lane j.
+template <uint32_t K>
+void ScalarSweepRange(const SweepArgs& args, double* diff_slot, NodeId begin,
+                      NodeId end) {
+  const uint32_t lanes = K == 0 ? args.k : K;
+  const uint64_t* in_offsets = args.in_offsets;
+  const NodeId* sources = args.sources;
+  const double* scaled = args.scaled;
+  const double c = args.c;
+  // Private copy of the jump multipliers: the output stores below could
+  // alias args.m, and every worker would otherwise keep re-reading the
+  // caller's array.
+  double m[kMaxVectorsPerSweep];
+  for (uint32_t j = 0; j < lanes; ++j) m[j] = args.m[j];
+  double diff[kMaxVectorsPerSweep] = {0.0};
+  for (NodeId y = begin; y < end; ++y) {
+    double in_sum[kMaxVectorsPerSweep];
+    for (uint32_t j = 0; j < lanes; ++j) in_sum[j] = 0.0;
+    for (uint64_t e = in_offsets[y]; e < in_offsets[y + 1]; ++e) {
+      const double* row = scaled + static_cast<uint64_t>(sources[e]) * lanes;
+      for (uint32_t j = 0; j < lanes; ++j) in_sum[j] += row[j];
+    }
+    const double* vrow = args.v + static_cast<uint64_t>(y) * lanes;
+    const double* prow = args.p + static_cast<uint64_t>(y) * lanes;
+    double* nrow = args.next + static_cast<uint64_t>(y) * lanes;
+    if (args.next_scaled != nullptr) {
+      const double w = args.inv[y];
+      double* srow = args.next_scaled + static_cast<uint64_t>(y) * lanes;
+      for (uint32_t j = 0; j < lanes; ++j) {
+        const double out = c * in_sum[j] + vrow[j] * m[j];
+        diff[j] += std::abs(out - prow[j]);
+        nrow[j] = out;
+        srow[j] = out * w;
+      }
+    } else {
+      for (uint32_t j = 0; j < lanes; ++j) {
+        const double out = c * in_sum[j] + vrow[j] * m[j];
+        diff[j] += std::abs(out - prow[j]);
+        nrow[j] = out;
+      }
+    }
+  }
+  for (uint32_t j = 0; j < lanes; ++j) diff_slot[j] = diff[j];
+}
+
+using SweepRangeFn = void (*)(const SweepArgs&, double*, NodeId, NodeId);
+
+/// Compile-time widths for the batch sizes the solver produces
+/// (1/2/4/8/16), with the runtime-k body covering compacted in-between
+/// widths.
+SweepRangeFn PickSweep(uint32_t k) {
+  switch (k) {
+    case 1:
+      return ScalarSweepRange<1>;
+    case 2:
+      return ScalarSweepRange<2>;
+    case 4:
+      return ScalarSweepRange<4>;
+    case 8:
+      return ScalarSweepRange<8>;
+    case 16:
+      return ScalarSweepRange<16>;
+    default:
+      return ScalarSweepRange<0>;
+  }
+}
+
+}  // namespace
 
 uint64_t ChunkSize(uint64_t total) {
   const uint64_t spread = (total + kMaxChunks - 1) / kMaxChunks;
@@ -99,18 +194,18 @@ void WeightedJacobiSweepMulti(const WebGraph& graph, uint32_t k,
                               const double* scaled, double* next,
                               double* next_scaled,
                               std::vector<double>* partials, double* diffs,
-                              simd::Level level, util::ThreadPool* pool) {
+                              util::ThreadPool* pool) {
   CHECK_GE(k, 1u);
   CHECK_LE(k, kMaxVectorsPerSweep);
   // Per-lane jump multiplier, hoisted out of the node loop:
   //   c·(in_sum + vy·d) + (1−c)·vy  =  c·in_sum + vy·((1−c) + c·d).
-  // Computed once per call and shared by every chunk and every level, so
-  // the reassociation cannot introduce cross-configuration divergence.
+  // Computed once per call and shared by every chunk, so the
+  // reassociation cannot introduce cross-configuration divergence.
   double m[kMaxVectorsPerSweep];
   for (uint32_t j = 0; j < k; ++j) {
     m[j] = (1.0 - damping) + damping * dangling[j];
   }
-  simd::SweepArgs args;
+  SweepArgs args;
   args.k = k;
   args.in_offsets = graph.InOffsets().data();
   args.sources = graph.Sources().data();
@@ -122,7 +217,7 @@ void WeightedJacobiSweepMulti(const WebGraph& graph, uint32_t k,
   args.scaled = scaled;
   args.next = next;
   args.next_scaled = next_scaled;
-  const simd::SweepRangeFn sweep = simd::PickSweepF64(level, k);
+  const SweepRangeFn sweep = PickSweep(k);
 
   const NodeId n = graph.num_nodes();
   const uint64_t chunks = NumChunks(n);

@@ -38,7 +38,6 @@
 #include <vector>
 
 #include "graph/web_graph.h"
-#include "pagerank/simd.h"
 #include "util/thread_pool.h"
 
 namespace spammass::pagerank::kernel {
@@ -114,18 +113,13 @@ void DanglingSums(const graph::WebGraph& graph, uint32_t k, const double* p,
 /// ScaleByInvOutDegree(next) would produce — so iterative callers skip the
 /// separate full-pass rescale between sweeps (the solver seeds `scaled`
 /// once before the first sweep and double-buffers from then on).
-///
-/// `level` picks the instruction set (simd.h). kScalar runs the bit-exact
-/// reference body; vectorized levels preserve each lane's accumulation
-/// order but may differ from it by FMA contraction (validated by
-/// pagerank_sweep_variant_test.cc).
 void WeightedJacobiSweepMulti(const graph::WebGraph& graph, uint32_t k,
                               const double* v, double damping,
                               const double* dangling, const double* p,
                               const double* scaled, double* next,
                               double* next_scaled,
                               std::vector<double>* partials, double* diffs,
-                              simd::Level level, util::ThreadPool* pool);
+                              util::ThreadPool* pool);
 
 }  // namespace spammass::pagerank::kernel
 

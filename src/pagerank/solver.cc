@@ -56,25 +56,6 @@ Result<Method> MethodFromString(std::string_view name) {
                                  std::string(name));
 }
 
-const char* SimdPolicyToString(SimdPolicy policy) {
-  switch (policy) {
-    case SimdPolicy::kScalar:
-      return "scalar";
-    case SimdPolicy::kAuto:
-      return "auto";
-    case SimdPolicy::kAvx2:
-      return "avx2";
-  }
-  return "unknown";
-}
-
-Result<SimdPolicy> SimdPolicyFromString(std::string_view name) {
-  if (name == "scalar") return SimdPolicy::kScalar;
-  if (name == "auto") return SimdPolicy::kAuto;
-  if (name == "avx2") return SimdPolicy::kAvx2;
-  return Status::InvalidArgument("unknown simd policy: " + std::string(name));
-}
-
 std::vector<double> ScaledScores(const std::vector<double>& scores,
                                  double damping) {
   CHECK_GT(damping, 0.0);
@@ -118,22 +99,6 @@ obs::Histogram* IterationsHistogram() {
           "pagerank.solve_iterations",
           {1, 2, 5, 10, 20, 50, 100, 200, 400, 800});
   return histogram;
-}
-
-/// Maps the validated SolverOptions onto a kernel instruction-set level.
-/// kAuto resolves to the best level the host supports; a
-/// forced-but-unsupported level was already rejected by
-/// CheckGraphAndOptions.
-simd::Level ResolveLevel(const SolverOptions& opt) {
-  switch (opt.simd) {
-    case SimdPolicy::kScalar:
-      return simd::Level::kScalar;
-    case SimdPolicy::kAuto:
-      return simd::Best();
-    case SimdPolicy::kAvx2:
-      return simd::Level::kAvx2;
-  }
-  return simd::Level::kScalar;
 }
 
 /// Sum of scores over dangling nodes. Scans the graph's precomputed
@@ -200,7 +165,6 @@ std::vector<PageRankResult> SolveJacobiBatch(
 
   const bool redistribute =
       opt.dangling == DanglingPolicy::kRedistributeToJump;
-  const simd::Level level = ResolveLevel(opt);
   std::array<double, kernel::kMaxVectorsPerSweep> dangling{};
   std::array<double, kernel::kMaxVectorsPerSweep> diffs{};
 
@@ -223,7 +187,7 @@ std::vector<PageRankResult> SolveJacobiBatch(
     kernel::WeightedJacobiSweepMulti(
         graph, live, vflat.data(), opt.damping, dangling.data(), cur.data(),
         scaled.data(), next.data(), scaled_next.data(), &ws->node_partials(),
-        diffs.data(), level, pool);
+        diffs.data(), pool);
     cur.swap(next);
     scaled.swap(scaled_next);
     SweepsCounter()->Increment();
@@ -350,7 +314,6 @@ PageRankResult SolvePowerIteration(const WebGraph& graph,
   PageRankResult result;
   const uint32_t n = graph.num_nodes();
   const double c = opt.damping;
-  const simd::Level level = ResolveLevel(opt);
   util::ThreadPool* pool = ws->EnsurePool(opt.num_threads);
 
   // Normalize the jump distribution.
@@ -378,7 +341,7 @@ PageRankResult SolvePowerIteration(const WebGraph& graph,
                                      p.data(), scaled.data(), next.data(),
                                      /*next_scaled=*/nullptr,
                                      &ws->node_partials(), &sweep_diff,
-                                     level, pool);
+                                     pool);
     // Guard against numerical drift of the norm.
     const double norm = kernel::DeterministicSum(
         pool, n,
@@ -438,14 +401,6 @@ Status CheckGraphAndOptions(const WebGraph& graph,
   if (options.method == Method::kSor &&
       (!(options.sor_omega > 0.0) || !(options.sor_omega < 2.0))) {
     return Status::InvalidArgument("sor_omega must lie in (0, 2)");
-  }
-  // Forcing a specific SIMD level demands host support; kAuto degrades
-  // gracefully and kScalar always works. (Gauss-Seidel/SOR sweeps are
-  // sequential and simply ignore the policy.)
-  if (options.simd == SimdPolicy::kAvx2 &&
-      !simd::IsSupported(simd::Level::kAvx2)) {
-    return Status::InvalidArgument("simd policy avx2 forced on a host "
-                                   "without AVX2+FMA support");
   }
   return Status::OK();
 }

@@ -34,13 +34,6 @@ namespace spammass::pagerank {
 /// sweeps, while under-relaxation damps oscillation on near-cyclic graphs.
 enum class Method { kJacobi, kGaussSeidel, kSor, kPowerIteration };
 
-/// Which sweep instruction set the Jacobi-family kernels may use. The
-/// scalar default is the bit-exact reference; kAuto picks the best level
-/// the host supports at runtime (AVX2 on x86-64, scalar elsewhere);
-/// forcing a level the host lacks fails option validation.
-/// Gauss-Seidel/SOR sweeps are sequential and ignore this.
-enum class SimdPolicy { kScalar, kAuto, kAvx2 };
-
 /// What to do with the PageRank that reaches a node without outlinks.
 enum class DanglingPolicy {
   /// Let it dissipate — the linear system (3) with substochastic T. This is
@@ -72,11 +65,6 @@ struct SolverOptions {
   /// When true, PageRankResult::residual_history records the L1 residual of
   /// every iteration (for convergence studies).
   bool track_residuals = false;
-  /// Sweep instruction set (Jacobi/power-iteration kernels only). The
-  /// scalar default keeps the bit-exact guarantee; vectorized sweeps
-  /// preserve per-lane accumulation order but may differ by FMA
-  /// contraction (validated against scalar by the variant tests).
-  SimdPolicy simd = SimdPolicy::kScalar;
   /// Deprecated and ignored: the compressed-gather sweep was removed
   /// because it lost to the plain CSR gather at every measured scale. The
   /// field stays only so existing callers that clear it still compile.
@@ -94,13 +82,6 @@ const char* MethodToString(Method method);
 
 /// Inverse of MethodToString. Fails with InvalidArgument on unknown names.
 util::Result<Method> MethodFromString(std::string_view name);
-
-/// Human-readable SIMD policy name ("scalar", "auto", "avx2").
-const char* SimdPolicyToString(SimdPolicy policy);
-
-/// Inverse of SimdPolicyToString. Fails with InvalidArgument on unknown
-/// names.
-util::Result<SimdPolicy> SimdPolicyFromString(std::string_view name);
 
 /// Solution plus convergence diagnostics.
 struct PageRankResult {

@@ -1,7 +1,5 @@
 #include "pipeline/context.h"
 
-#include <algorithm>
-#include <numeric>
 #include <utility>
 
 #include "obs/metrics.h"
@@ -83,46 +81,25 @@ Status PipelineContext::Prepare(const ArtifactNeeds& requested) {
   }
 
   // TrustRank seed selection runs first: its solve is over the TRANSPOSED
-  // graph and cannot join the forward stream. Semantics replicate
-  // core::SelectSeedsByInversePageRank + the oracle filter of RunTrustRank
-  // (inlined so the solve's iteration count reaches the manifest).
+  // graph and cannot join the forward stream. Without labels there is no
+  // oracle, and every candidate is kept.
   std::vector<NodeId> trust_seeds;
   if (solve_trust) {
-    if (web.num_nodes() == 0) {
-      return Status::InvalidArgument("empty graph");
-    }
-    obs::ScopedStageTimer timer("trustrank_seed_selection", &stage_timings_);
-    graph::WebGraph reversed = web.Transposed();
-    auto inverse =
-        pagerank::ComputeUniformPageRank(reversed, cfg.solver, &workspace_);
-    if (!inverse.ok()) return inverse.status();
-    const std::vector<double>& scores = inverse.value().scores;
-    std::vector<NodeId> order(web.num_nodes());
-    std::iota(order.begin(), order.end(), 0u);
-    uint32_t take =
-        std::min<uint32_t>(cfg.trustrank.seed_candidates, web.num_nodes());
-    std::partial_sort(order.begin(), order.begin() + take, order.end(),
-                      [&scores](NodeId a, NodeId b) {
-                        if (scores[a] != scores[b]) {
-                          return scores[a] > scores[b];
-                        }
-                        return a < b;
-                      });
-    order.resize(take);
-    // The oracle filter needs ground truth; without labels every candidate
-    // is kept (the TrustRank paper's human inspection has no stand-in).
-    const bool filter =
-        cfg.trustrank.filter_seeds_by_oracle && source_->has_labels;
-    for (NodeId s : order) {
-      if (!filter || source_->web.labels.IsGood(s)) trust_seeds.push_back(s);
-    }
-    if (trust_seeds.empty()) {
-      return Status::FailedPrecondition(
-          "oracle rejected every seed candidate; enlarge seed_candidates");
-    }
-    solve_stats_.emplace_back(
-        "trustrank_seed_selection",
-        pagerank::SolveStats::FromResult(inverse.value()));
+    core::TrustRankOptions options;
+    options.solver = cfg.solver;
+    options.seed_candidates = cfg.trustrank.seed_candidates;
+    options.filter_seeds_by_oracle = cfg.trustrank.filter_seeds_by_oracle;
+    const core::LabelStore* oracle =
+        source_->has_labels ? &source_->web.labels : nullptr;
+    auto selection = [&] {
+      obs::ScopedStageTimer timer("trustrank_seed_selection",
+                                  &stage_timings_);
+      return core::SelectTrustRankSeeds(web, options, oracle, &workspace_);
+    }();
+    if (!selection.ok()) return selection.status();
+    trust_seeds = std::move(selection.value().seeds);
+    solve_stats_.emplace_back("trustrank_seed_selection",
+                              std::move(selection.value().inverse_solve));
   }
 
   // Every forward solve the requested artifacts need, as ONE multi-RHS

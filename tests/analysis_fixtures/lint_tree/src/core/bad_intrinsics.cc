@@ -1,5 +1,5 @@
-// Fixture: vector intrinsics outside src/pagerank/simd* — the detector
-// layer must stay portable and reach SIMD only through the dispatch shim.
+// Fixture: vector intrinsics are banned everywhere — the sweep kernels
+// run one portable scalar body, and so must every other layer.
 #include <immintrin.h>
 
 #include <vector>

@@ -333,8 +333,9 @@ TEST_F(CliTest, RemovedBinaryOptionsRejected) {
 }
 
 TEST_F(CliTest, RemovedSweepOptionsRejected) {
-  // Vertex reordering and the float32 sweep are gone: their flags fail
-  // like any unknown flag, and the manifest no longer echoes them.
+  // Vertex reordering, the float32 sweep and the SIMD sweep are gone:
+  // their flags fail like any unknown flag, and the manifest no longer
+  // echoes them.
   const std::string d = Dir();
   ASSERT_EQ(Run("generate --scale 0.02 --seed 6 --out-edges " + d +
                 "/sw.edges --out-core " + d + "/sw.core"),
@@ -342,7 +343,8 @@ TEST_F(CliTest, RemovedSweepOptionsRejected) {
   const std::string run = "run --graph " + d + "/sw.edges --core " + d +
                           "/sw.core --detectors spam_mass --manifest " + d +
                           "/sw.json";
-  for (const char* removed : {" --reorder degree", " --precision f64"}) {
+  for (const char* removed :
+       {" --reorder degree", " --precision f64", " --simd auto"}) {
     EXPECT_NE(Run(run + removed), 0) << removed;
     EXPECT_NE(ReadFile("stderr.txt").find("unknown flag"), std::string::npos)
         << removed << ": " << ReadFile("stderr.txt");
@@ -355,7 +357,7 @@ TEST_F(CliTest, RemovedSweepOptionsRejected) {
       << error;
   const testutil::JsonValue& config = manifest["runs"][0]["config"];
   ASSERT_TRUE(config.Has("solver"));
-  EXPECT_TRUE(config["solver"].Has("simd"));
+  EXPECT_FALSE(config["solver"].Has("simd"));
   EXPECT_FALSE(config.Has("reorder"));
   EXPECT_FALSE(config["solver"].Has("precision"));
 }

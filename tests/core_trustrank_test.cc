@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "graph/graph_builder.h"
 #include "synth/paper_graphs.h"
 
@@ -13,7 +15,7 @@ namespace {
 using core::ComputeTrustRank;
 using core::RankByTrust;
 using core::RunTrustRank;
-using core::SelectSeedsByInversePageRank;
+using core::SelectTrustRankSeeds;
 using core::TrustRankOptions;
 using graph::GraphBuilder;
 using graph::NodeId;
@@ -64,19 +66,25 @@ TEST(TrustRankTest, InversePageRankPrefersBroadReach) {
   GraphBuilder b(6);
   for (NodeId i = 1; i < 6; ++i) b.AddEdge(0, i);
   WebGraph g = b.Build();
-  auto seeds = SelectSeedsByInversePageRank(g, 2, Precise());
-  ASSERT_TRUE(seeds.ok());
-  ASSERT_EQ(seeds.value().size(), 2u);
-  EXPECT_EQ(seeds.value()[0], 0u);
+  TrustRankOptions options;
+  options.solver = Precise();
+  options.seed_candidates = 2;
+  auto selection = SelectTrustRankSeeds(g, options, nullptr);
+  ASSERT_TRUE(selection.ok());
+  ASSERT_EQ(selection.value().seeds.size(), 2u);
+  EXPECT_EQ(selection.value().seeds[0], 0u);
 }
 
 TEST(TrustRankTest, SeedCountClampedToGraph) {
   GraphBuilder b(3);
   b.AddEdge(0, 1);
   WebGraph g = b.Build();
-  auto seeds = SelectSeedsByInversePageRank(g, 100, Precise());
-  ASSERT_TRUE(seeds.ok());
-  EXPECT_EQ(seeds.value().size(), 3u);
+  TrustRankOptions options;
+  options.solver = Precise();
+  options.seed_candidates = 100;
+  auto selection = SelectTrustRankSeeds(g, options, nullptr);
+  ASSERT_TRUE(selection.ok());
+  EXPECT_EQ(selection.value().seeds.size(), 3u);
 }
 
 TEST(TrustRankTest, OracleFiltersSpamSeeds) {
@@ -89,6 +97,62 @@ TEST(TrustRankTest, OracleFiltersSpamSeeds) {
   for (NodeId s : result.value().seeds) {
     EXPECT_TRUE(fig.labels.IsGood(s)) << "seed " << s;
   }
+}
+
+// 25 spam hubs (0..24) each link to the 30 leaves 30..59, so on the
+// transposed graph they outrank everything; the one good host, 25, links
+// to three leaves and ranks 26th. Every other node is spam.
+struct AllSpamTopWeb {
+  WebGraph graph;
+  core::LabelStore labels;
+};
+
+AllSpamTopWeb MakeAllSpamTopWeb() {
+  GraphBuilder b(60);
+  for (NodeId hub = 0; hub < 25; ++hub) {
+    for (NodeId leaf = 30; leaf < 60; ++leaf) b.AddEdge(hub, leaf);
+  }
+  for (NodeId leaf = 30; leaf < 33; ++leaf) b.AddEdge(25, leaf);
+  AllSpamTopWeb web{b.Build(), core::LabelStore(60)};
+  for (NodeId x = 0; x < 60; ++x) {
+    if (x != 25) web.labels.Set(x, core::NodeLabel::kSpam);
+  }
+  return web;
+}
+
+TEST(TrustRankTest, OracleWalksPastAllSpamCandidates) {
+  AllSpamTopWeb web = MakeAllSpamTopWeb();
+  TrustRankOptions options;
+  options.solver = Precise();
+  options.seed_candidates = 2;  // budget 40 reaches rank 26
+  auto selection = SelectTrustRankSeeds(web.graph, options, &web.labels);
+  ASSERT_TRUE(selection.ok()) << selection.status().ToString();
+  EXPECT_EQ(selection.value().seeds, (std::vector<NodeId>{25}));
+  EXPECT_TRUE(selection.value().inverse_solve.converged);
+
+  auto result = RunTrustRank(web.graph, web.labels, options);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(result.value().seeds, (std::vector<NodeId>{25}));
+
+  // Without an oracle the top candidates are kept as they are.
+  auto unfiltered = SelectTrustRankSeeds(web.graph, options, nullptr);
+  ASSERT_TRUE(unfiltered.ok());
+  EXPECT_EQ(unfiltered.value().seeds, (std::vector<NodeId>{0, 1}));
+}
+
+TEST(TrustRankTest, OracleBudgetExhaustedNamesHostsExamined) {
+  AllSpamTopWeb web = MakeAllSpamTopWeb();
+  TrustRankOptions options;
+  options.solver = Precise();
+  options.seed_candidates = 1;  // budget 20 stops short of rank 26
+  auto selection = SelectTrustRankSeeds(web.graph, options, &web.labels);
+  ASSERT_FALSE(selection.ok());
+  EXPECT_EQ(selection.status().code(),
+            util::StatusCode::kFailedPrecondition);
+  EXPECT_NE(selection.status().ToString().find("all 20 hosts examined"),
+            std::string::npos)
+      << selection.status().ToString();
+  EXPECT_FALSE(RunTrustRank(web.graph, web.labels, options).ok());
 }
 
 TEST(TrustRankTest, RankByTrustDescending) {

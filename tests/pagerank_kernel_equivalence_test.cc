@@ -112,7 +112,7 @@ TEST(KernelEquivalenceTest, SingleSweepMatchesReference) {
   kernel::WeightedJacobiSweepMulti(g, 1, v.values().data(), 0.85, &dangling,
                                    p.data(), scaled.data(), next.data(),
                                    next_scaled.data(), &partials, &diff,
-                                   pagerank::simd::Level::kScalar, nullptr);
+                                   nullptr);
 
   // The fused rescale output must be bitwise what a standalone
   // ScaleByInvOutDegree pass over `next` produces.

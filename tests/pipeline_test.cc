@@ -322,5 +322,27 @@ TEST(RunDetectorsTest, Figure2SpamMassMatchesPaper) {
   EXPECT_EQ(output.flagged_count, 3u);  // x, s0, and the g2 false positive
 }
 
+TEST(RunDetectorsTest, TrustRankOracleWalksPastAllSpamCandidates) {
+  // The two top inverse-PageRank hosts (0 and 1, the only nodes with
+  // out-links besides 2) are spam; the oracle must walk on to host 2.
+  graph::GraphBuilder builder(12);
+  for (graph::NodeId leaf = 3; leaf < 12; ++leaf) {
+    builder.AddEdge(0, leaf);
+    builder.AddEdge(1, leaf);
+  }
+  builder.AddEdge(2, 3);
+  const std::string labels = TempPath("all_spam_top.labels");
+  WriteFile(labels, "0\tspam\n1\tspam\n2\tgood\n");
+  pipeline::GraphSource source =
+      pipeline::GraphSource::FromGraph(builder.Build(), "all-spam top");
+  source.WithLabelsFile(labels);
+  pipeline::PipelineConfig config;
+  config.trustrank.seed_candidates = 2;
+  auto run = pipeline::RunDetectors(source, config, {"trustrank"});
+  ASSERT_TRUE(run.ok()) << run.status().ToString();
+  ASSERT_EQ(run.value().detectors.size(), 1u);
+  EXPECT_EQ(run.value().detectors[0].detector, "trustrank");
+}
+
 }  // namespace
 }  // namespace spammass

@@ -1,10 +1,11 @@
-// End-to-end variant equivalence: the Figure-4-style detection outcome —
+// End-to-end solver equivalence: the Figure-4-style detection outcome —
 // who is flagged, which candidates surface, their ordering — must be
-// identical across sweep instruction sets, because that is a traversal
-// choice, not a model change. Also the permutation-invariance property
-// test: spam mass and relative mass are invariant under a seeded shuffle
-// and the reversal of the node order for Jacobi and Gauss-Seidel at 1 and
-// 4 threads.
+// identical for Gauss-Seidel and for Jacobi at any thread count, because
+// the solver is a numerical choice, not a model change. Also the
+// permutation-invariance property test: spam mass, relative mass and the
+// Algorithm 2 verdicts are invariant under a seeded shuffle and the
+// reversal of the node order for Jacobi and Gauss-Seidel at 1 and 4
+// threads.
 
 #include <gtest/gtest.h>
 
@@ -13,6 +14,7 @@
 #include <string>
 #include <vector>
 
+#include "core/detector.h"
 #include "core/spam_mass.h"
 #include "graph_permute_test_util.h"
 #include "pagerank/solver.h"
@@ -25,7 +27,6 @@ namespace {
 
 using graph::NodeId;
 using graph::WebGraph;
-using pagerank::SimdPolicy;
 
 pipeline::PipelineConfig BaseConfig() {
   pipeline::PipelineConfig config;
@@ -73,7 +74,7 @@ void ExpectSameVerdicts(const pipeline::PipelineRun& want,
 TEST(PipelineVariantEquivalenceTest, BaselineVerdictMarginsAreRobust) {
   // Guard for this whole suite: every candidate's relative mass must sit a
   // safe distance from the τ threshold, so tolerance-level perturbations
-  // (FMA contraction, fp addition order) cannot flip a
+  // (solver method, fp addition order) cannot flip a
   // verdict and the exact-equality assertions below are meaningful.
   pipeline::PipelineConfig config = BaseConfig();
   auto run = RunScenario(config);
@@ -100,15 +101,18 @@ TEST(PipelineVariantEquivalenceTest, BaselineVerdictMarginsAreRobust) {
 }
 
 TEST(PipelineVariantEquivalenceTest, SweepVariantsPreserveDetection) {
-  // kAuto runs the best vector backend (scalar on hosts without one).
-  auto baseline = RunScenario(BaseConfig());
+  // Gauss-Seidel (the CLI default) is the reference; Jacobi on 1 and 4
+  // threads must flag the same hosts.
+  pipeline::PipelineConfig gauss_seidel = BaseConfig();
+  gauss_seidel.solver.method = pagerank::Method::kGaussSeidel;
+  auto baseline = RunScenario(gauss_seidel);
   ASSERT_TRUE(baseline.ok()) << baseline.status().ToString();
   for (uint32_t threads : {1u, 4u}) {
     pipeline::PipelineConfig config = BaseConfig();
-    config.solver.simd = SimdPolicy::kAuto;
     config.solver.num_threads = threads;
     auto run = RunScenario(config);
-    const std::string label = "simd, " + std::to_string(threads) + " threads";
+    const std::string label =
+        "jacobi, " + std::to_string(threads) + " threads";
     ASSERT_TRUE(run.ok()) << label << ": " << run.status().ToString();
     ExpectSameVerdicts(baseline.value(), run.value(), label);
   }
@@ -116,17 +120,16 @@ TEST(PipelineVariantEquivalenceTest, SweepVariantsPreserveDetection) {
 
 TEST(PipelineVariantEquivalenceTest, ManifestEchoesVariantConfig) {
   pipeline::PipelineConfig config = BaseConfig();
-  config.solver.simd = SimdPolicy::kAuto;
   config.solver.num_threads = 3;
   auto run = RunScenario(config);
   ASSERT_TRUE(run.ok()) << run.status().ToString();
   const std::string& json = run.value().manifest_json;
-  for (const char* needle :
-       {"\"simd\":\"auto\"", "\"method\":\"jacobi\"",
-        "\"num_threads\":3"}) {
+  for (const char* needle : {"\"method\":\"jacobi\"", "\"num_threads\":3"}) {
     EXPECT_NE(json.find(needle), std::string::npos)
         << "manifest missing " << needle << "\n" << json;
   }
+  // The sweep has no instruction-set option any more.
+  EXPECT_EQ(json.find("\"simd\""), std::string::npos) << json;
 }
 
 // ---- Permutation-invariance property test (core level) ------------------
@@ -155,6 +158,10 @@ TEST_P(MassPermutationInvarianceTest, MassAndVerdictsInvariant) {
   auto base =
       core::EstimateSpamMass(g, loaded.value().good_core, options);
   ASSERT_TRUE(base.ok()) << base.status().ToString();
+  const core::DetectorConfig detection;
+  const std::vector<core::SpamCandidate> base_flagged =
+      core::DetectSpamCandidates(base.value(), detection);
+  ASSERT_FALSE(base_flagged.empty());
 
   const std::pair<std::string, std::vector<NodeId>> permutations[] = {
       {"random", testutil::SeededPermutation(n, /*seed=*/99)},
@@ -176,6 +183,19 @@ TEST_P(MassPermutationInvarianceTest, MassAndVerdictsInvariant) {
                   got.value().absolute_mass[y], 1e-10)
           << label << " node " << x;
     }
+    // Algorithm 2 flags the same hosts, up to the relabelling.
+    std::vector<NodeId> want;
+    for (const core::SpamCandidate& c : base_flagged) {
+      want.push_back(perm[c.node]);
+    }
+    std::vector<NodeId> flagged;
+    for (const core::SpamCandidate& c :
+         core::DetectSpamCandidates(got.value(), detection)) {
+      flagged.push_back(c.node);
+    }
+    std::sort(want.begin(), want.end());
+    std::sort(flagged.begin(), flagged.end());
+    EXPECT_EQ(want, flagged) << label;
   }
 }
 

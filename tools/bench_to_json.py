@@ -18,9 +18,6 @@ Suite `solver` (bench_solver_perf + bench_multi_solve):
         BM_ParallelJacobiFreshPool/<k> / BM_ParallelJacobiWorkspace/<k>
   * multi_solve_amortization_k<k>:
         BM_IndependentSolves/<k> / BM_FusedMultiSolve/<k>
-  * simd_multi_rhs_speedup_k4 (bench_sweep_variants, power-law web):
-        BM_SweepScalarF64Plain / BM_SweepSimdF64Plain
-    plus `bytes_per_edge`: the modelled traffic counter of the sweep.
 
 Suite `graph` (bench_graph_ops, 100k-node ingest fixtures; the mmap
 ratio uses a 300k-node power-law web, ~50 MB CSR):
@@ -103,8 +100,6 @@ SOLVER_RATIO_PAIRS = [
      "BM_FusedMultiSolve/4"),
     ("multi_solve_amortization_k8", "BM_IndependentSolves/8",
      "BM_FusedMultiSolve/8"),
-    ("simd_multi_rhs_speedup_k4", "BM_SweepScalarF64Plain",
-     "BM_SweepSimdF64Plain"),
 ]
 
 GRAPH_RATIO_PAIRS = [
@@ -161,8 +156,7 @@ OBS_OVERHEAD_BUDGET = 1.02
 
 SUITES = {
     "solver": {
-        "binaries": ["bench_solver_perf", "bench_multi_solve",
-                     "bench_sweep_variants"],
+        "binaries": ["bench_solver_perf", "bench_multi_solve"],
         "ratios": SOLVER_RATIO_PAIRS,
     },
     "graph": {
@@ -245,15 +239,6 @@ def check_regressions(speedups, baseline_path, threshold=0.10):
     return regressions
 
 
-def bytes_per_edge_summary(merged):
-    """The modelled bytes-per-edge counter of the scalar sweep entry."""
-    for entry in merged["benchmarks"]:
-        if entry["name"] == "BM_SweepScalarF64Plain":
-            f64 = entry.get("bytes_per_edge")
-            return {"plain_f64": f64} if f64 else None
-    return None
-
-
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--bench-dir", required=True,
@@ -308,11 +293,6 @@ def main():
     for label, baseline, optimized in suite["ratios"]:
         if baseline in times and optimized in times and times[optimized] > 0:
             merged["speedups"][label] = times[baseline] / times[optimized]
-
-    if args.suite == "solver":
-        summary = bytes_per_edge_summary(merged)
-        if summary is not None:
-            merged["bytes_per_edge"] = summary
 
     if args.suite == "obs":
         for label, ratio in merged["speedups"].items():

@@ -43,16 +43,11 @@ Rules (each printed as file:line: [rule] message):
                   (src/util/timer.h, src/obs/) so durations flow through
                   WallTimer / trace spans rather than ad-hoc clock reads.
   simd-isolation  Vector intrinsics (immintrin/arm_neon includes, _mm*/
-                  __m256*/v*q_f32-style identifiers) are confined to
-                  src/pagerank/simd* translation units: every consumer goes
-                  through the runtime-dispatched shim (pagerank/simd.h), so
-                  a build for a host without the instruction set only loses
-                  the fast path, never correctness. As a post-pass, when a
-                  vector backend TU (src/pagerank/simd_*.cc) is linted, the
-                  dispatch shim src/pagerank/simd.cc must still reference
-                  the portable ScalarSweepRange fallback — deleting the
-                  scalar path while keeping the intrinsics is the one
-                  refactor this rule exists to stop.
+                  __m256*/v*q_f32-style identifiers) are banned everywhere:
+                  the sweep kernels run one portable scalar body
+                  (src/pagerank/kernel.cc), so every host computes the same
+                  bit-exact scores and no build depends on an instruction
+                  set.
   resource-isolation
                   Kernel introspection (/proc/self paths, perf_event_open,
                   mincore) is confined to src/obs/ and src/util/mmap_file.cc
@@ -121,16 +116,13 @@ WALL_CLOCK_RE = re.compile(
 # interval flows through util::WallTimer or an obs span.
 STEADY_CLOCK_RE = re.compile(r"\bstd::chrono::steady_clock\b")
 # Vector intrinsics: x86 SSE/AVX and ARM NEON headers, register types and
-# intrinsic calls. Confined to src/pagerank/simd* so everything else stays
-# portable and the scalar fallback can never be compiled out by accident.
+# intrinsic calls. Banned everywhere, so the code stays portable.
 INTRINSICS_RE = re.compile(
     r"#\s*include\s*<\w*intrin\.h>|"
     r"#\s*include\s*<arm_neon\.h>|"
     r"\b_mm(?:256|512)?_\w+\s*\(|\b__m(?:128|256|512)[di]?\b|"
     r"\b(?:vld1|vst1|vdup|vadd|vsub|vmul|vfma|vcvt|vget|vset)q?_\w+\s*\(|"
     r"\bfloat(?:32|64)x\d+(?:x\d+)?_t\b")
-# The only files allowed to spell intrinsics.
-SIMD_ALLOWED_PREFIX = "src/pagerank/simd"
 # Kernel-introspection probes: /proc paths (string literals), the
 # perf_event_open syscall wrapper, and the mincore residency query. The
 # sanctioned homes keep the graceful-degradation logic in one place.
@@ -283,15 +275,13 @@ class Linter:
                     "std::random_device outside src/util/random is banned: "
                     "draw through the seeded util::Rng so runs stay "
                     "reproducible")
-            if not relpath.startswith(SIMD_ALLOWED_PREFIX) and not is_exempt(
-                    relpath, "simd-isolation"):
+            if not is_exempt(relpath, "simd-isolation"):
                 if INTRINSICS_RE.search(code):
                     self.report(
                         relpath, i, "simd-isolation",
-                        "vector intrinsics outside src/pagerank/simd*; call "
-                        "through the runtime-dispatched shim (pagerank/"
-                        "simd.h) so hosts without the instruction set keep "
-                        "the scalar path")
+                        "vector intrinsics are banned; keep the portable "
+                        "scalar sweep in pagerank/kernel.cc so every host "
+                        "computes bit-identical scores")
             if relpath.startswith(ORCHESTRATION_DIRS) and not is_exempt(
                     relpath, "pipeline-orchestration"):
                 m = ORCHESTRATION_RE.search(code)
@@ -468,32 +458,6 @@ class Linter:
                 break
 
 
-def check_simd_fallback(root, files, linter):
-    """Post-pass of the simd-isolation rule: whenever a vector backend TU
-    (src/pagerank/simd_*.cc) is part of the lint set, the dispatch shim
-    src/pagerank/simd.cc must still reference the portable
-    ScalarSweepRange fallback — otherwise a host without the instruction
-    set has no sweep at all."""
-    if not any(f.startswith("src/pagerank/simd_") and f.endswith(".cc")
-               for f in files):
-        return
-    shim = "src/pagerank/simd.cc"
-    try:
-        with open(os.path.join(root, shim), encoding="utf-8") as f:
-            content = f.read()
-    except OSError:
-        linter.report(shim, 1, "simd-isolation",
-                      "vector backend TUs exist but the dispatch shim "
-                      "src/pagerank/simd.cc is missing")
-        return
-    if "ScalarSweepRange" not in content:
-        linter.report(shim, 1, "simd-isolation",
-                      "dispatch shim no longer references the portable "
-                      "ScalarSweepRange fallback; every (level, k) "
-                      "combination must resolve to a valid sweep on hosts "
-                      "without vector support")
-
-
 def collect_files(root):
     files = []
     for top in SOURCE_DIRS:
@@ -527,7 +491,6 @@ def main():
     linter = Linter(root)
     for relpath in files:
         linter.lint_file(relpath)
-    check_simd_fallback(root, files, linter)
 
     for relpath, line_no, rule, message in linter.violations:
         print(f"{relpath}:{line_no}: [{rule}] {message}")
